@@ -11,9 +11,13 @@
 //! scoped worker threads when many are due — see [`FleetSim::with_jobs`]),
 //! so policies see *live* queue depths, outstanding work, and KV pressure
 //! rather than static assignment counts. Between barriers replicas share
-//! no state, which is why the job count never changes results; the old
-//! all-replica lockstep engine survives as [`FleetSim::run_lockstep`],
-//! the golden reference the parity tests hold [`FleetSim::run`] to.
+//! no state, which is why the job count never changes results. That
+//! barrier loop is one dispatch engine shared with the
+//! [`Orchestrator`](crate::orchestrator::Orchestrator); the fleet's only
+//! part in it is one [`DispatchPolicy::choose`] call per arrival. The
+//! old all-replica lockstep engine survives as
+//! [`FleetSim::run_lockstep`], the independent golden reference the
+//! parity tests hold both front-ends to.
 //!
 //! Three policies ship out of the box:
 //!
@@ -67,23 +71,16 @@
 //! ```
 
 use std::collections::HashSet;
-use std::sync::Mutex;
 
 use neupims_sched::{CostModelKind, TraceMemo, TraceSnapshot};
 use neupims_types::{Cycle, RequestId, SimError};
 
 use crate::backend::{Backend, BackendError};
 use crate::device::Device;
+use crate::dispatch::{self, advance_to, snapshot_of, Arrival, Decision, FrontEnd};
 use crate::event::{EventQueue, SimEvent};
 use crate::preempt::{PreemptionPolicy, SwapConfig};
 use crate::serving::{ServingOutcome, ServingSim, StepEvent};
-
-/// Below this many due replicas a dispatch barrier advances them inline.
-/// Scoped-thread fan-out (spawn + join per barrier) costs tens of
-/// microseconds, while a due replica between dispatch points typically
-/// owes a single iteration jump — so threads only pay off on wide
-/// barriers: bursty arrival fronts and the final drain.
-const PARALLEL_MIN_DUE: usize = 64;
 
 /// One request entering the fleet frontend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -436,22 +433,6 @@ impl<B: Backend> std::fmt::Debug for FleetSim<B> {
     }
 }
 
-/// The per-replica advancement primitive: steps `replica` until its local
-/// clock reaches `horizon` or its stream drains. This is exactly the
-/// lockstep dispatcher's inner loop, so running it per replica — serially
-/// or on a worker thread — reproduces lockstep behavior bit for bit.
-pub(crate) fn advance_to<B: Backend>(
-    replica: &mut ServingSim<B>,
-    horizon: Cycle,
-) -> Result<(), SimError> {
-    while replica.now() < horizon {
-        if replica.step()? == StepEvent::Finished {
-            break;
-        }
-    }
-    Ok(())
-}
-
 impl<B: Backend> FleetSim<B> {
     /// Builds a fleet from its replicas and a dispatch policy.
     ///
@@ -465,27 +446,14 @@ impl<B: Backend> FleetSim<B> {
         replicas: Vec<ServingSim<B>>,
         policy: Box<dyn DispatchPolicy>,
     ) -> Result<Self, BackendError> {
-        if replicas.is_empty() {
-            return Err(BackendError::InvalidSimulation(
-                "fleet needs at least one replica".into(),
-            ));
-        }
-        if let Some(i) = replicas
-            .iter()
-            .position(|r| r.config().target_completions > 0)
-        {
-            return Err(BackendError::InvalidSimulation(format!(
-                "fleet replica {i} has target_completions > 0; fleet replicas must drain \
-                 (set target_completions to 0)"
-            )));
-        }
+        dispatch::check_table(&replicas, "fleet", "replica", "fleet replicas")?;
         Ok(Self {
             replicas,
             policy,
             pending: Vec::new(),
             seen: HashSet::new(),
             submitted: 0,
-            jobs: default_jobs(),
+            jobs: dispatch::worker_count(0),
         })
     }
 
@@ -501,13 +469,19 @@ impl<B: Backend> FleetSim<B> {
     /// a seeded run is bit-deterministic for every `N` (pinned by the
     /// determinism tests).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = if jobs == 0 { default_jobs() } else { jobs };
+        self.jobs = dispatch::worker_count(jobs);
         self
     }
 
     /// Worker threads used between dispatch points.
     pub fn jobs(&self) -> usize {
         self.jobs
+    }
+
+    /// Rebuilds every replica through `f`.
+    fn map_replicas(mut self, f: impl FnMut(ServingSim<B>) -> ServingSim<B>) -> Self {
+        self.replicas = self.replicas.into_iter().map(f).collect();
+        self
     }
 
     /// The replicas, in fleet index order.
@@ -521,26 +495,16 @@ impl<B: Backend> FleetSim<B> {
     /// *they* were configured with): Algorithm 1 analytic pricing or
     /// trace-driven command-stream replay. Replicas added later keep
     /// their own setting.
-    pub fn with_cost_model(mut self, kind: CostModelKind) -> Self {
-        self.replicas = self
-            .replicas
-            .into_iter()
-            .map(|r| r.with_cost_model(kind))
-            .collect();
-        self
+    pub fn with_cost_model(self, kind: CostModelKind) -> Self {
+        self.map_replicas(|r| r.with_cost_model(kind))
     }
 
     /// Installs one preemption policy into every replica (see
     /// [`ServingSim::with_preemption`]); replicas added later keep their
     /// own setting. Per-replica policies can instead be set on the
     /// [`ServingSim`]s before building the fleet.
-    pub fn with_preemption(mut self, policy: Box<dyn PreemptionPolicy>) -> Self {
-        self.replicas = self
-            .replicas
-            .into_iter()
-            .map(|r| r.with_preemption(policy.clone()))
-            .collect();
-        self
+    pub fn with_preemption(self, policy: Box<dyn PreemptionPolicy>) -> Self {
+        self.map_replicas(|r| r.with_preemption(policy.clone()))
     }
 
     /// Shares one [`TraceMemo`] across every replica's trace-driven cost
@@ -550,13 +514,8 @@ impl<B: Backend> FleetSim<B> {
     /// memo is sound across a heterogeneous fleet. Replicas whose
     /// backends have no PIM are unaffected; replicas added later keep
     /// their own memos.
-    pub fn with_shared_trace_memo(mut self, memo: &TraceMemo) -> Self {
-        self.replicas = self
-            .replicas
-            .into_iter()
-            .map(|r| r.with_trace_memo(memo))
-            .collect();
-        self
+    pub fn with_shared_trace_memo(self, memo: &TraceMemo) -> Self {
+        self.map_replicas(|r| r.with_trace_memo(memo))
     }
 
     /// Pre-populates replica replay memos for every context-length bucket
@@ -589,13 +548,8 @@ impl<B: Backend> FleetSim<B> {
 
     /// Sets every replica's swap-link parameters (see
     /// [`ServingSim::with_swap`]).
-    pub fn with_swap(mut self, swap: SwapConfig) -> Self {
-        self.replicas = self
-            .replicas
-            .into_iter()
-            .map(|r| r.with_swap(swap))
-            .collect();
-        self
+    pub fn with_swap(self, swap: SwapConfig) -> Self {
+        self.map_replicas(|r| r.with_swap(swap))
     }
 
     /// Number of replicas.
@@ -620,53 +574,34 @@ impl<B: Backend> FleetSim<B> {
     /// Returns [`SimError::DuplicateRequest`] for a fleet-wide duplicate
     /// id and [`SimError::InvalidShape`] for a zero `output_len`.
     pub fn submit(&mut self, req: FleetRequest) -> Result<(), SimError> {
-        if req.output_len == 0 {
-            return Err(SimError::InvalidShape(format!(
-                "request {} has zero output_len",
-                RequestId::new(req.id)
-            )));
-        }
-        if !self.seen.insert(RequestId::new(req.id)) {
-            return Err(SimError::DuplicateRequest(RequestId::new(req.id)));
-        }
-        self.pending.push(req);
+        dispatch::accept(&mut self.seen, &mut self.pending, req, || Ok(()))?;
         self.submitted += 1;
         Ok(())
     }
 
-    fn snapshot_of(&self, index: usize) -> ReplicaSnapshot {
-        let r = &self.replicas[index];
-        ReplicaSnapshot {
-            index,
-            now: r.now(),
-            waiting: r.waiting_len(),
-            running: r.running_len(),
-            preempted: r.preempted_len(),
-            outstanding_tokens: r.outstanding_tokens(),
-            kv_utilization: r.kv_utilization(),
-            kv_pressure: r.kv_pressure(),
-        }
-    }
-
     fn snapshots(&self) -> Vec<ReplicaSnapshot> {
-        (0..self.replicas.len())
-            .map(|i| self.snapshot_of(i))
+        self.replicas
+            .iter()
+            .enumerate()
+            .map(|(i, r)| snapshot_of(r, i))
             .collect()
     }
 
     /// Dispatches every queued request in arrival order and drains all
     /// replicas, reporting the aggregated outcome.
     ///
-    /// This is the event-driven engine: replica event streams are merged
-    /// on an [`EventQueue`] keyed by each replica's local clock, and a
-    /// dispatch at time `t` services only the replicas whose streams
-    /// trail `t` — popped from the merge, advanced (in parallel on
-    /// [`std::thread::scope`] workers when many are due, see
-    /// [`Self::with_jobs`]), and re-queued at their new clocks. Replicas
-    /// synchronize with the global clock only at these dispatch points,
-    /// where the policy reads its [`ReplicaSnapshot`]s; a drained (idle)
-    /// replica leaves the merge and is never re-stepped until a dispatch
-    /// hands it new work. Results are bit-identical to
+    /// This is the event-driven dispatch engine, which the
+    /// [`Orchestrator`](crate::orchestrator::Orchestrator) runs on too;
+    /// the fleet's per-arrival decision is the dispatch policy's choice.
+    /// Replica event streams are merged on an [`EventQueue`] keyed by
+    /// each replica's local clock, and a dispatch at time `t` services
+    /// only the replicas whose streams trail `t` — popped from the merge,
+    /// advanced (in parallel on [`std::thread::scope`] workers when many
+    /// are due, see [`Self::with_jobs`]), and re-queued at their new
+    /// clocks. Replicas synchronize with the global clock only at these
+    /// dispatch points, where the policy reads its [`ReplicaSnapshot`]s;
+    /// a drained (idle) replica leaves the merge and is never re-stepped
+    /// until a dispatch hands it new work. Results are bit-identical to
     /// [`Self::run_lockstep`] — the parity suite pins it across every
     /// scheduler × preemption × dispatch combination.
     ///
@@ -683,91 +618,11 @@ impl<B: Backend> FleetSim<B> {
     /// when an error surfaces are re-stashed as pending; which replicas
     /// have already advanced past the failed barrier is unspecified.
     pub fn run(&mut self) -> Result<FleetOutcome, SimError> {
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.sort_by_key(|r| (r.arrival, r.id));
-
-        // The merged per-replica event streams: each non-idle replica
-        // appears once, keyed by its local clock (= how far its stream
-        // has been serviced). Snapshots are cached and refreshed only
-        // for replicas that stepped or received work — a dispatch is
-        // O(due replicas), not O(fleet).
-        let mut merge: EventQueue<SimEvent> = EventQueue::new();
-        for (i, r) in self.replicas.iter().enumerate() {
-            if !r.is_idle() {
-                merge.push(r.now(), SimEvent::ReplicaIdle(i));
-            }
-        }
-        let mut snaps = self.snapshots();
-
-        let mut due: Vec<usize> = Vec::new();
-        for (k, &req) in pending.iter().enumerate() {
-            // Dispatch barrier: advance exactly the replicas whose
-            // streams trail the arrival, so the policy sees live queues.
-            // Idle replicas are not in the merge and stay where they are
-            // (their snapshot is empty anyway).
-            due.clear();
-            while let Some((at, _)) = merge.peek() {
-                if at >= req.arrival {
-                    break;
-                }
-                let (_, ev) = merge.pop().expect("peeked");
-                let SimEvent::ReplicaIdle(i) = ev else {
-                    unreachable!("the fleet merge holds only replica entries");
-                };
-                due.push(i);
-            }
-            due.sort_unstable();
-            if let Err(e) = self.advance_many(&due, req.arrival) {
-                // Re-stash what hasn't been dispatched so the fleet's
-                // conservation accounting survives a failed round.
-                self.pending.extend_from_slice(&pending[k..]);
-                return Err(e);
-            }
-            for &i in &due {
-                if !self.replicas[i].is_idle() {
-                    merge.push(self.replicas[i].now(), SimEvent::ReplicaIdle(i));
-                }
-                snaps[i] = self.snapshot_of(i);
-            }
-
-            let choice = self.policy.choose(&snaps, &req);
-            if choice >= self.replicas.len() {
-                self.pending.extend_from_slice(&pending[k..]);
-                return Err(SimError::Scheduling(format!(
-                    "dispatch policy {:?} chose replica {choice}, but the fleet has {}",
-                    self.policy.name(),
-                    self.replicas.len()
-                )));
-            }
-            let was_idle = self.replicas[choice].is_idle();
-            if let Err(e) =
-                self.replicas[choice].submit(req.id, req.input_len, req.output_len, req.arrival)
-            {
-                self.pending.extend_from_slice(&pending[k..]);
-                return Err(e);
-            }
-            snaps[choice] = self.snapshot_of(choice);
-            if was_idle {
-                // The dispatch re-activates a drained replica: back into
-                // the merge at its (possibly stale) local clock.
-                merge.push(self.replicas[choice].now(), SimEvent::ReplicaIdle(choice));
-            }
-        }
-
-        // Drain phase: no more dispatch barriers, so every remaining
-        // stream runs to completion — fully parallel.
-        let mut active: Vec<usize> = Vec::new();
-        while let Some((_, ev)) = merge.pop() {
-            let SimEvent::ReplicaIdle(i) = ev else {
-                unreachable!("the fleet merge holds only replica entries");
-            };
-            active.push(i);
-        }
-        active.sort_unstable();
-        self.advance_many(&active, Cycle::MAX)?;
-
-        let outcomes = self.replicas.iter().map(ServingSim::outcome).collect();
-        Ok(FleetOutcome::aggregate(self.submitted, outcomes))
+        let mut front = Dispatcher {
+            policy: &mut *self.policy,
+            submitted: self.submitted,
+        };
+        dispatch::run(&mut self.replicas, &mut self.pending, self.jobs, &mut front)
     }
 
     /// The lockstep reference engine: before each dispatch, every replica
@@ -819,87 +674,46 @@ impl<B: Backend> FleetSim<B> {
         }
         self.replicas[choice].submit(req.id, req.input_len, req.output_len, req.arrival)
     }
+}
 
-    /// Advances the replicas named by `due` (sorted, distinct indices) to
-    /// `horizon`, fanning out over up to [`Self::jobs`] scoped worker
-    /// threads when the due set is large enough to pay for it. Replicas
-    /// share no state between dispatch barriers, so per-replica results
-    /// are identical however the work is divided; on error the
-    /// lowest-indexed failing replica's error is returned regardless of
-    /// worker interleaving.
-    fn advance_many(&mut self, due: &[usize], horizon: Cycle) -> Result<(), SimError> {
-        advance_set(&mut self.replicas, due, horizon, self.jobs)
+impl Arrival for FleetRequest {
+    fn request(&self) -> &FleetRequest {
+        self
     }
 }
 
-/// The shared barrier primitive behind [`FleetSim::run`] and the
-/// [`Orchestrator`](crate::orchestrator::Orchestrator): advances the
-/// replicas named by `due` (sorted, distinct indices) to `horizon`,
-/// fanning out over up to `jobs` scoped worker threads when the due set
-/// is large enough to pay for it. Replicas share no state between
-/// barriers, so per-replica results are identical however the work is
-/// divided; on error the lowest-indexed failing replica's error is
-/// returned regardless of worker interleaving.
-pub(crate) fn advance_set<B: Backend>(
-    replicas: &mut [ServingSim<B>],
-    due: &[usize],
-    horizon: Cycle,
-    jobs: usize,
-) -> Result<(), SimError> {
-    if jobs <= 1 || due.len() < PARALLEL_MIN_DUE {
-        for &i in due {
-            advance_to(&mut replicas[i], horizon)?;
-        }
-        return Ok(());
-    }
-
-    // Split the replica slice into disjoint &mut handles for the due
-    // indices (O(due), relying on `due` being sorted and distinct).
-    let mut handles: Vec<&mut ServingSim<B>> = Vec::with_capacity(due.len());
-    let mut rest: &mut [ServingSim<B>] = replicas;
-    let mut offset = 0;
-    for &i in due {
-        let (_, tail) = rest.split_at_mut(i - offset);
-        let (r, tail) = tail.split_first_mut().expect("due indices are in range");
-        handles.push(r);
-        rest = tail;
-        offset = i + 1;
-    }
-
-    let chunk = handles.len().div_ceil(jobs).max(1);
-    let first_err: Mutex<Option<(usize, SimError)>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for (ci, chunk_refs) in handles.chunks_mut(chunk).enumerate() {
-            let first_err = &first_err;
-            s.spawn(move || {
-                for (j, replica) in chunk_refs.iter_mut().enumerate() {
-                    if let Err(e) = advance_to(replica, horizon) {
-                        let index = due[ci * chunk + j];
-                        let mut slot = first_err.lock().expect("no worker panics");
-                        if slot.as_ref().is_none_or(|(lowest, _)| index < *lowest) {
-                            *slot = Some((index, e));
-                        }
-                        // Keep the rest of the chunk untouched: the
-                        // erroring replica's successors advance on
-                        // the next (re-run) barrier instead.
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    match first_err.into_inner().expect("no worker panics") {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
-    }
+/// The fleet's front-end: every arrival goes where the dispatch policy
+/// says, at its arrival instant.
+struct Dispatcher<'a> {
+    policy: &'a mut dyn DispatchPolicy,
+    submitted: u64,
 }
 
-/// One worker per available core by default (the dispatcher thread mostly
-/// waits at barriers).
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+impl<B: Backend> FrontEnd<B> for Dispatcher<'_> {
+    type Req = FleetRequest;
+
+    fn decide(
+        &mut self,
+        _t: Cycle,
+        req: &FleetRequest,
+        replicas: &[ServingSim<B>],
+        snaps: &[ReplicaSnapshot],
+        _merge: &mut EventQueue<SimEvent>,
+    ) -> Result<Decision<FleetRequest>, SimError> {
+        let choice = self.policy.choose(snaps, req);
+        if choice >= replicas.len() {
+            return Err(SimError::Scheduling(format!(
+                "dispatch policy {:?} chose replica {choice}, but the fleet has {}",
+                self.policy.name(),
+                replicas.len()
+            )));
+        }
+        Ok(Decision::Dispatch(choice))
+    }
+
+    fn submitted(&self) -> u64 {
+        self.submitted
+    }
 }
 
 #[cfg(test)]

@@ -90,6 +90,7 @@
 pub mod backend;
 pub mod cluster;
 pub mod device;
+mod dispatch;
 pub mod event;
 pub mod experiments;
 pub mod fleet;

@@ -37,11 +37,17 @@
 //! `orchestrator` eval suite pins that it wins on that metric against
 //! every static size.
 //!
-//! The degenerate configuration — single tenant, [`StaticScale`] at the
-//! full fleet, [`LoadOnly`] routing, warm start, admit-all — reproduces
-//! [`FleetSim::run`](crate::fleet::FleetSim::run) bit for bit (pinned by
-//! the orchestrator parity suite), so everything above is strictly
-//! additive.
+//! The orchestrator is a second front-end on the fleet's dispatch engine:
+//! the barrier merge, drain and aggregate are the code behind
+//! [`FleetSim::run`](crate::fleet::FleetSim::run), and the orchestrator
+//! supplies only the per-arrival decision (park, autoscale, admit, route)
+//! and what a [`SimEvent::ReplicaWarmup`] means. The degenerate
+//! configuration — single tenant, [`StaticScale`] at the full fleet,
+//! [`LoadOnly`] routing, warm start, admit-all — reproduces both
+//! `FleetSim::run` and the independent
+//! [`FleetSim::run_lockstep`](crate::fleet::FleetSim::run_lockstep)
+//! oracle bit for bit (pinned by the orchestrator parity suite), so
+//! everything above is strictly additive.
 //!
 //! # Example
 //!
@@ -66,7 +72,7 @@
 //!     .collect();
 //! let tenants = vec![TenantClass::new(
 //!     "chat",
-//!     SloTargets { ttft: 10_000_000, tpot: 1_000_000.0 },
+//!     SloTargets { ttft: 10_000_000, tpot: 5_000_000.0 },
 //!     200,
 //!     1.0,
 //! )];
@@ -96,9 +102,10 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use neupims_types::{Cycle, RequestId, SimError};
 
 use crate::backend::{Backend, BackendError, CapabilityProfile};
+use crate::dispatch::{self, Arrival, Decision, FrontEnd};
 use crate::event::{EventQueue, SimEvent};
-use crate::fleet::{advance_set, DispatchPolicy, FleetOutcome, FleetRequest, ReplicaSnapshot};
-use crate::serving::{ServingOutcome, ServingSim, SloTargets};
+use crate::fleet::{DispatchPolicy, FleetOutcome, FleetRequest, ReplicaSnapshot};
+use crate::serving::{ServingSim, SloTargets};
 
 /// Arrival-rate observations are taken over a sliding window of this many
 /// recent arrivals (enough to smooth burst noise, short enough to track a
@@ -284,7 +291,7 @@ pub struct EwmaPredictive {
 
 impl EwmaPredictive {
     /// A predictive policy sized for `capacity_per_replica` requests per
-    /// Mcycle per replica, with the default smoothing (`alpha` 0.2,
+    /// Mcycle per replica, with the default smoothing (`alpha` 0.15,
     /// `beta` 0.1, lookahead 12 observations, queue floor 8).
     pub fn new(capacity_per_replica: f64) -> Self {
         Self {
@@ -431,10 +438,9 @@ impl RoutePolicy for LoadOnly {
         let snaps: Vec<ReplicaSnapshot> = candidates
             .iter()
             .enumerate()
-            .map(|(pos, c)| {
-                let mut s = c.snapshot;
-                s.index = pos;
-                s
+            .map(|(pos, c)| ReplicaSnapshot {
+                index: pos,
+                ..c.snapshot
             })
             .collect();
         self.inner.choose(&snaps, req)
@@ -724,7 +730,9 @@ pub struct OrchestratorOutcome {
     pub scale_ups: u64,
     /// Scale-down (park) decisions.
     pub scale_downs: u64,
-    /// Peak committed replica count (active + warming).
+    /// Peak count of slots holding capacity: active, warming and
+    /// draining (a draining slot is no longer committed, but is still
+    /// paid for until it parks).
     pub peak_replicas: usize,
     /// Requests shed across tenants.
     pub shed: u64,
@@ -754,6 +762,16 @@ impl OrchestratorOutcome {
 /// `docs/ORCHESTRATOR.md` for the full walkthrough.
 pub struct Orchestrator<B: Backend> {
     slots: Vec<ServingSim<B>>,
+    pending: Vec<OrchRequest>,
+    seen: HashSet<RequestId>,
+    jobs: usize,
+    ctl: ControlPlane,
+}
+
+/// Everything the orchestrator owns besides its slots: lifecycle state,
+/// tenants, policies and counters. Kept apart from the slots so the
+/// dispatch engine can advance them while the control plane decides.
+struct ControlPlane {
     profiles: Vec<CapabilityProfile>,
     state: Vec<SlotState>,
     on_since: Vec<Cycle>,
@@ -762,29 +780,27 @@ pub struct Orchestrator<B: Backend> {
     route: Box<dyn RoutePolicy>,
     autoscale: Box<dyn AutoscalePolicy>,
     cfg: OrchestratorConfig,
-    pending: Vec<OrchRequest>,
-    seen: HashSet<RequestId>,
     submitted: Vec<u64>,
     admitted: Vec<u64>,
     deferred: Vec<u64>,
     shed: Vec<u64>,
-    dispatched: u64,
     req_tenant: HashMap<u32, usize>,
     defer_delay: HashMap<u32, Cycle>,
     warmups: u64,
     scale_ups: u64,
     scale_downs: u64,
     peak_committed: usize,
-    jobs: usize,
+    /// The current run's last `RATE_WINDOW` arrival instants.
+    recent: VecDeque<Cycle>,
 }
 
 impl<B: Backend> std::fmt::Debug for Orchestrator<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Orchestrator")
             .field("slots", &self.slots.len())
-            .field("tenants", &self.tenants.len())
-            .field("route", &self.route.name())
-            .field("autoscale", &self.autoscale.name())
+            .field("tenants", &self.ctl.tenants.len())
+            .field("route", &self.ctl.route.name())
+            .field("autoscale", &self.ctl.autoscale.name())
             .field("pending", &self.pending.len())
             .finish()
     }
@@ -802,10 +818,10 @@ impl<B: Backend> Orchestrator<B> {
     /// # Errors
     ///
     /// Returns [`BackendError::InvalidSimulation`] for an empty slot
-    /// table, an empty tenant table, a `min_replicas` of zero or above
-    /// the ceiling, a ceiling mismatching the slot table, or a slot with
-    /// `target_completions > 0` (orchestrated slots must drain, like
-    /// fleet replicas).
+    /// table, a slot with `target_completions > 0` (orchestrated slots
+    /// must drain, like fleet replicas), an empty tenant table, a ceiling
+    /// mismatching the slot table, or a `min_replicas` of zero or above
+    /// the ceiling.
     pub fn new(
         slots: Vec<ServingSim<B>>,
         tenants: Vec<TenantClass>,
@@ -813,11 +829,7 @@ impl<B: Backend> Orchestrator<B> {
         autoscale: Box<dyn AutoscalePolicy>,
         cfg: OrchestratorConfig,
     ) -> Result<Self, BackendError> {
-        if slots.is_empty() {
-            return Err(BackendError::InvalidSimulation(
-                "orchestrator needs at least one slot".into(),
-            ));
-        }
+        dispatch::check_table(&slots, "orchestrator", "slot", "slots")?;
         if tenants.is_empty() {
             return Err(BackendError::InvalidSimulation(
                 "orchestrator needs at least one tenant class".into(),
@@ -836,12 +848,6 @@ impl<B: Backend> Orchestrator<B> {
                 cfg.min_replicas, cfg.max_replicas
             )));
         }
-        if let Some(i) = slots.iter().position(|r| r.config().target_completions > 0) {
-            return Err(BackendError::InvalidSimulation(format!(
-                "orchestrator slot {i} has target_completions > 0; slots must drain \
-                 (set target_completions to 0)"
-            )));
-        }
         let profiles: Vec<CapabilityProfile> = slots
             .iter()
             .map(|s| s.backend().capability_profile())
@@ -856,45 +862,46 @@ impl<B: Backend> Orchestrator<B> {
             .collect();
         let mut warmups = 0;
         for (i, st) in state.iter_mut().enumerate().take(cfg.min_replicas) {
-            if cfg.warm_start {
+            let ready_at = if cfg.warm_start {
+                0
+            } else {
+                profiles[i].warmup_cycles
+            };
+            if ready_at == 0 {
                 *st = SlotState::On;
                 stats[i].windows.push((0, Cycle::MAX));
             } else {
-                let ready_at = profiles[i].warmup_cycles;
-                if ready_at == 0 {
-                    *st = SlotState::On;
-                    stats[i].windows.push((0, Cycle::MAX));
-                } else {
-                    *st = SlotState::Warming { ready_at };
-                    warmups += 1;
-                }
+                *st = SlotState::Warming { ready_at };
+                warmups += 1;
             }
         }
         let tenant_count = tenants.len();
         Ok(Self {
             slots,
-            profiles,
-            state,
-            on_since: vec![0; n],
-            stats,
-            tenants,
-            route,
-            autoscale,
-            cfg,
             pending: Vec::new(),
             seen: HashSet::new(),
-            submitted: vec![0; tenant_count],
-            admitted: vec![0; tenant_count],
-            deferred: vec![0; tenant_count],
-            shed: vec![0; tenant_count],
-            dispatched: 0,
-            req_tenant: HashMap::new(),
-            defer_delay: HashMap::new(),
-            warmups,
-            scale_ups: 0,
-            scale_downs: 0,
-            peak_committed: cfg.min_replicas,
-            jobs: default_jobs(),
+            jobs: dispatch::worker_count(0),
+            ctl: ControlPlane {
+                profiles,
+                state,
+                on_since: vec![0; n],
+                stats,
+                tenants,
+                route,
+                autoscale,
+                cfg,
+                submitted: vec![0; tenant_count],
+                admitted: vec![0; tenant_count],
+                deferred: vec![0; tenant_count],
+                shed: vec![0; tenant_count],
+                req_tenant: HashMap::new(),
+                defer_delay: HashMap::new(),
+                warmups,
+                scale_ups: 0,
+                scale_downs: 0,
+                peak_committed: cfg.min_replicas,
+                recent: VecDeque::with_capacity(RATE_WINDOW),
+            },
         })
     }
 
@@ -903,23 +910,23 @@ impl<B: Backend> Orchestrator<B> {
     /// [`FleetSim::with_jobs`](crate::fleet::FleetSim::with_jobs), the
     /// job count never changes results.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = if jobs == 0 { default_jobs() } else { jobs };
+        self.jobs = dispatch::worker_count(jobs);
         self
     }
 
     /// The tenant table.
     pub fn tenants(&self) -> &[TenantClass] {
-        &self.tenants
+        &self.ctl.tenants
     }
 
     /// The route policy's name.
     pub fn route_name(&self) -> &'static str {
-        self.route.name()
+        self.ctl.route.name()
     }
 
     /// The autoscale policy's name.
     pub fn autoscale_name(&self) -> &'static str {
-        self.autoscale.name()
+        self.ctl.autoscale.name()
     }
 
     /// Requests submitted but not yet run.
@@ -935,58 +942,288 @@ impl<B: Backend> Orchestrator<B> {
     /// out-of-range tenant index, and [`SimError::DuplicateRequest`] for
     /// a duplicate id.
     pub fn submit(&mut self, oreq: OrchRequest) -> Result<(), SimError> {
-        if oreq.req.output_len == 0 {
-            return Err(SimError::InvalidShape(format!(
-                "request {} has zero output_len",
-                RequestId::new(oreq.req.id)
-            )));
-        }
-        if oreq.tenant >= self.tenants.len() {
-            return Err(SimError::InvalidShape(format!(
-                "request {} names tenant {}, but the orchestrator has {}",
-                RequestId::new(oreq.req.id),
-                oreq.tenant,
-                self.tenants.len()
-            )));
-        }
-        if !self.seen.insert(RequestId::new(oreq.req.id)) {
-            return Err(SimError::DuplicateRequest(RequestId::new(oreq.req.id)));
-        }
-        self.submitted[oreq.tenant] += 1;
-        self.pending.push(oreq);
+        let tenants = self.ctl.tenants.len();
+        dispatch::accept(&mut self.seen, &mut self.pending, oreq, || {
+            if oreq.tenant >= tenants {
+                return Err(SimError::InvalidShape(format!(
+                    "request {} names tenant {}, but the orchestrator has {tenants}",
+                    RequestId::new(oreq.req.id),
+                    oreq.tenant,
+                )));
+            }
+            Ok(())
+        })?;
+        self.ctl.submitted[oreq.tenant] += 1;
         Ok(())
     }
 
-    fn snapshot_of(&self, index: usize) -> ReplicaSnapshot {
-        let r = &self.slots[index];
-        ReplicaSnapshot {
-            index,
-            now: r.now(),
-            waiting: r.waiting_len(),
-            running: r.running_len(),
-            preempted: r.preempted_len(),
-            outstanding_tokens: r.outstanding_tokens(),
-            kv_utilization: r.kv_utilization(),
-            kv_pressure: r.kv_pressure(),
+    /// Dispatches every queued request in arrival order and drains the
+    /// fleet, reporting the aggregated per-tenant outcome.
+    ///
+    /// Runs on the same dispatch engine as
+    /// [`FleetSim::run`](crate::fleet::FleetSim::run): slot event streams
+    /// are merged on an [`EventQueue`] keyed by local clocks, each
+    /// arrival is a barrier advancing exactly the slots whose streams
+    /// trail it, and the drain phase runs every remaining stream to
+    /// completion in parallel. The orchestrator only
+    /// supplies the per-arrival decision and the meaning of
+    /// [`SimEvent::ReplicaWarmup`] entries, which mark committed slots
+    /// becoming dispatchable: at every arrival it parks drained slots,
+    /// consults the autoscaler, and lets admission shed or defer the
+    /// request before the router ever sees it.
+    ///
+    /// Statistics are cumulative across `submit` + `run` rounds, like the
+    /// fleet's. Slot cost windows ([`SlotStats::windows`]) are reported
+    /// for the whole orchestrator lifetime.
+    ///
+    /// # Errors
+    ///
+    /// Propagates slot simulation errors; requests not yet dispatched are
+    /// re-stashed as pending, and per-tenant admission labels for the
+    /// failed round are unspecified.
+    pub fn run(&mut self) -> Result<OrchestratorOutcome, SimError> {
+        self.ctl.recent.clear();
+        let fleet = dispatch::run(&mut self.slots, &mut self.pending, self.jobs, &mut self.ctl)?;
+        Ok(self.ctl.outcome(fleet))
+    }
+}
+
+impl Arrival for OrchRequest {
+    fn request(&self) -> &FleetRequest {
+        &self.req
+    }
+}
+
+impl<B: Backend> FrontEnd<B> for ControlPlane {
+    type Req = OrchRequest;
+
+    fn warming(&self, i: usize) -> Option<Cycle> {
+        match self.state[i] {
+            SlotState::Warming { ready_at } => Some(ready_at),
+            _ => None,
         }
     }
 
-    fn on_count(&self) -> usize {
-        self.state.iter().filter(|s| **s == SlotState::On).count()
+    fn warmed(&mut self, i: usize, ready_at: Cycle) {
+        if let SlotState::Warming { .. } = self.state[i] {
+            self.state[i] = SlotState::On;
+            self.stats[i].windows.push((ready_at, Cycle::MAX));
+        }
     }
 
-    fn warming_count(&self) -> usize {
-        self.state
+    fn decide(
+        &mut self,
+        t: Cycle,
+        oreq: &OrchRequest,
+        slots: &[ServingSim<B>],
+        snaps: &[ReplicaSnapshot],
+        merge: &mut EventQueue<SimEvent>,
+    ) -> Result<Decision<OrchRequest>, SimError> {
+        // A condemned slot parks the moment its queue drains; its
+        // cost window closes at this decision instant.
+        for (i, slot) in slots.iter().enumerate() {
+            if self.state[i] == SlotState::Draining && slot.is_idle() {
+                self.park(i, t);
+            }
+        }
+
+        // Autoscale: decide the committed count for this instant.
+        self.recent.push_back(t);
+        if self.recent.len() > RATE_WINDOW {
+            self.recent.pop_front();
+        }
+        let span = self.recent.back().unwrap() - self.recent.front().unwrap();
+        let arrival_rate = if self.recent.len() >= 2 && span > 0 {
+            (self.recent.len() - 1) as f64 * 1e6 / span as f64
+        } else {
+            0.0
+        };
+        let active = self.state.iter().filter(|s| **s == SlotState::On).count();
+        let warming = self
+            .state
             .iter()
             .filter(|s| matches!(s, SlotState::Warming { .. }))
-            .count()
+            .count();
+        let queue: usize = self.on_snaps(snaps).map(ReplicaSnapshot::queue_len).sum();
+        let obs = AutoscaleObservation {
+            now: t,
+            active,
+            warming,
+            queue,
+            arrival_rate,
+            min_replicas: self.cfg.min_replicas,
+            max_replicas: self.cfg.max_replicas,
+        };
+        let desired = self
+            .autoscale
+            .desired(&obs)
+            .clamp(self.cfg.min_replicas, self.cfg.max_replicas);
+        let committed = active + warming;
+        if desired > committed {
+            let mut need = desired - committed;
+            // A draining slot is still warm: cancelling its drain is
+            // free, so resurrect those before paying warmup on a
+            // parked slot.
+            let draining = self.state.iter_mut().filter(|s| **s == SlotState::Draining);
+            for st in draining.take(need) {
+                *st = SlotState::On;
+                need -= 1;
+            }
+            let parked: Vec<usize> = (0..slots.len())
+                .filter(|&i| self.state[i] == SlotState::Off)
+                .take(need)
+                .collect();
+            for i in parked {
+                self.spin_up(i, t, self.profiles[i].warmup_cycles, merge);
+            }
+        } else if desired < committed {
+            // Idle slots park immediately; busy ones are condemned to
+            // drain — no new work, park on empty. Highest index
+            // first, so the low slots stay the stable core. Draining
+            // slots no longer count as committed, which is what lets
+            // a demand rebound cancel the drain above.
+            let condemned: Vec<usize> = (0..slots.len())
+                .rev()
+                .filter(|&i| self.state[i] == SlotState::On)
+                .take(committed - desired)
+                .collect();
+            for i in condemned {
+                if slots[i].is_idle() {
+                    self.park(i, t);
+                } else {
+                    self.state[i] = SlotState::Draining;
+                }
+            }
+        }
+        let holding = self.state.iter().filter(|s| **s != SlotState::Off).count();
+        self.peak_committed = self.peak_committed.max(holding);
+
+        // Admission: high-priority tenants bypass; low-priority ones
+        // are deferred (once) or shed when dispatchable-fleet KV
+        // pressure predicts admitted goodput would degrade.
+        let bumped = self.defer_delay.contains_key(&oreq.req.id);
+        if self.tenants[oreq.tenant].priority < self.cfg.admission.priority_floor && !bumped {
+            let on = self.on_snaps(snaps).count();
+            let pressure = if on == 0 {
+                0.0
+            } else {
+                self.on_snaps(snaps).map(|s| s.kv_pressure).sum::<f64>() / on as f64
+            };
+            if pressure >= self.cfg.admission.shed_pressure {
+                self.shed[oreq.tenant] += 1;
+                return Ok(Decision::Shed);
+            }
+            if pressure >= self.cfg.admission.defer_pressure {
+                let delay = self.cfg.admission.defer_cycles.max(1);
+                self.defer_delay.insert(oreq.req.id, delay);
+                self.deferred[oreq.tenant] += 1;
+                let mut later = *oreq;
+                later.req.arrival = t + delay;
+                return Ok(Decision::Requeue(later));
+            }
+        }
+
+        // Routing: only warmed-up slots are candidates. With none, a
+        // draining slot can serve right now — cancel one drain rather
+        // than defer the request behind a warmup.
+        if !self.state.contains(&SlotState::On) {
+            if let Some(i) = self.state.iter().position(|s| *s == SlotState::Draining) {
+                self.state[i] = SlotState::On;
+            }
+        }
+        let candidates: Vec<RouteCandidate> = (0..slots.len())
+            .filter(|&i| self.state[i] == SlotState::On)
+            .map(|i| RouteCandidate {
+                snapshot: snaps[i],
+                profile: self.profiles[i],
+            })
+            .collect();
+        if candidates.is_empty() {
+            // No dispatchable capacity: wait for the earliest warmup
+            // (forcing a spin-up if nothing is even warming). The
+            // request is delayed, never lost.
+            let warming = self
+                .state
+                .iter()
+                .filter_map(|s| match s {
+                    SlotState::Warming { ready_at } => Some(*ready_at),
+                    _ => None,
+                })
+                .min();
+            let ready = warming.unwrap_or_else(|| {
+                // min_replicas >= 1 guarantees an Off slot here.
+                let i = self
+                    .state
+                    .iter()
+                    .position(|s| *s == SlotState::Off)
+                    .expect("an empty committed set implies a parked slot");
+                let warm = self.profiles[i].warmup_cycles.max(1);
+                self.spin_up(i, t, warm, merge);
+                t + warm
+            });
+            let delay = ready.max(t + 1) - t;
+            if !bumped {
+                self.deferred[oreq.tenant] += 1;
+            }
+            *self.defer_delay.entry(oreq.req.id).or_insert(0) += delay;
+            let mut later = *oreq;
+            later.req.arrival = t + delay;
+            return Ok(Decision::Requeue(later));
+        }
+        let pos = self
+            .route
+            .route(&candidates, &oreq.req, &self.tenants[oreq.tenant]);
+        if pos >= candidates.len() {
+            return Err(SimError::Scheduling(format!(
+                "route policy {:?} chose candidate {pos}, but {} are dispatchable",
+                self.route.name(),
+                candidates.len()
+            )));
+        }
+        Ok(Decision::Dispatch(candidates[pos].snapshot.index))
     }
 
-    fn draining_count(&self) -> usize {
-        self.state
+    fn dispatched(&mut self, g: usize, oreq: &OrchRequest) {
+        self.stats[g].served += 1;
+        self.req_tenant.insert(oreq.req.id, oreq.tenant);
+        if !self.defer_delay.contains_key(&oreq.req.id) {
+            self.admitted[oreq.tenant] += 1;
+        }
+    }
+
+    /// Every dispatched request, so the fleet's `completed + dropped ==
+    /// submitted` holds below the shed accounting.
+    fn submitted(&self) -> u64 {
+        self.stats.iter().map(|s| s.served).sum()
+    }
+}
+
+impl ControlPlane {
+    /// The dispatchable slots' snapshots, in slot order.
+    fn on_snaps<'a>(
+        &'a self,
+        snaps: &'a [ReplicaSnapshot],
+    ) -> impl Iterator<Item = &'a ReplicaSnapshot> {
+        snaps
             .iter()
-            .filter(|s| **s == SlotState::Draining)
-            .count()
+            .zip(&self.state)
+            .filter(|(_, s)| **s == SlotState::On)
+            .map(|(snap, _)| snap)
+    }
+
+    /// Commits parked slot `i` at `t`: dispatchable after `warm` cycles,
+    /// or at once when `warm` is 0.
+    fn spin_up(&mut self, i: usize, t: Cycle, warm: Cycle, merge: &mut EventQueue<SimEvent>) {
+        self.on_since[i] = t;
+        self.scale_ups += 1;
+        if warm == 0 {
+            self.state[i] = SlotState::On;
+            self.stats[i].windows.push((t, Cycle::MAX));
+        } else {
+            self.state[i] = SlotState::Warming { ready_at: t + warm };
+            merge.push(t + warm, SimEvent::ReplicaWarmup(i));
+            self.warmups += 1;
+        }
     }
 
     /// Closes slot `i`'s cost window at `t` and parks it.
@@ -999,333 +1236,12 @@ impl<B: Backend> Orchestrator<B> {
         self.scale_downs += 1;
     }
 
-    fn finish_warmup(&mut self, i: usize, ready_at: Cycle) {
-        if let SlotState::Warming { .. } = self.state[i] {
-            self.state[i] = SlotState::On;
-            self.stats[i].windows.push((ready_at, Cycle::MAX));
-        }
-    }
-
-    /// Dispatches every queued request in arrival order and drains the
-    /// fleet, reporting the aggregated per-tenant outcome.
-    ///
-    /// The engine mirrors [`FleetSim::run`](crate::fleet::FleetSim::run):
-    /// slot event streams are merged on an [`EventQueue`] keyed by local
-    /// clocks, each arrival is a barrier advancing exactly the
-    /// dispatchable slots whose streams trail it, and the drain phase
-    /// runs every remaining stream to completion in parallel. On top of
-    /// that spine, [`SimEvent::ReplicaWarmup`] entries mark committed
-    /// slots becoming dispatchable, the autoscaler is consulted at every
-    /// arrival, and admission may shed or defer the request before the
-    /// router ever sees it.
-    ///
-    /// Statistics are cumulative across `submit` + `run` rounds, like the
-    /// fleet's. Slot cost windows ([`SlotStats::windows`]) are reported
-    /// for the whole orchestrator lifetime.
-    ///
-    /// # Errors
-    ///
-    /// Propagates slot simulation errors; requests not yet dispatched are
-    /// re-stashed as pending, and per-tenant admission labels for the
-    /// failed round are unspecified.
-    pub fn run(&mut self) -> Result<OrchestratorOutcome, SimError> {
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.sort_by_key(|r| (r.req.arrival, r.req.id));
-        let mut arrivals: EventQueue<OrchRequest> = EventQueue::new();
-        for r in pending {
-            arrivals.push(r.req.arrival, r);
-        }
-
-        let mut merge: EventQueue<SimEvent> = EventQueue::new();
-        for (i, r) in self.slots.iter().enumerate() {
-            match self.state[i] {
-                SlotState::On | SlotState::Draining if !r.is_idle() => {
-                    merge.push(r.now(), SimEvent::ReplicaIdle(i))
-                }
-                SlotState::Warming { ready_at } => merge.push(ready_at, SimEvent::ReplicaWarmup(i)),
-                _ => {}
-            }
-        }
-        let mut snaps: Vec<ReplicaSnapshot> =
-            (0..self.slots.len()).map(|i| self.snapshot_of(i)).collect();
-        let mut recent: VecDeque<Cycle> = VecDeque::with_capacity(RATE_WINDOW);
-
-        let mut due: Vec<usize> = Vec::new();
-        while let Some((t, oreq)) = arrivals.pop() {
-            // Dispatch barrier: advance exactly the dispatchable slots
-            // whose streams trail the arrival. Warmups are inclusive at
-            // `t` (capacity committed for this instant is usable at it);
-            // replica streams keep the fleet's strict-past semantics.
-            due.clear();
-            while let Some((at, ev)) = merge.peek() {
-                let take = at < t || (at == t && matches!(ev, SimEvent::ReplicaWarmup(_)));
-                if !take {
-                    break;
-                }
-                let (at, ev) = merge.pop().expect("peeked");
-                match ev {
-                    SimEvent::ReplicaIdle(i) => due.push(i),
-                    SimEvent::ReplicaWarmup(i) => {
-                        self.finish_warmup(i, at);
-                        snaps[i] = self.snapshot_of(i);
-                    }
-                    other => unreachable!("unexpected merge event {other:?}"),
-                }
-            }
-            due.sort_unstable();
-            if let Err(e) = advance_set(&mut self.slots, &due, t, self.jobs) {
-                self.restash(oreq, &mut arrivals);
-                return Err(e);
-            }
-            for &i in &due {
-                if !self.slots[i].is_idle() {
-                    merge.push(self.slots[i].now(), SimEvent::ReplicaIdle(i));
-                }
-                snaps[i] = self.snapshot_of(i);
-            }
-
-            // A condemned slot parks the moment its queue drains; its
-            // cost window closes at this decision instant.
-            for i in 0..self.slots.len() {
-                if self.state[i] == SlotState::Draining && self.slots[i].is_idle() {
-                    self.park(i, t);
-                }
-            }
-
-            // Autoscale: decide the committed count for this instant.
-            recent.push_back(t);
-            if recent.len() > RATE_WINDOW {
-                recent.pop_front();
-            }
-            let span = recent.back().unwrap() - recent.front().unwrap();
-            let arrival_rate = if recent.len() >= 2 && span > 0 {
-                (recent.len() - 1) as f64 * 1e6 / span as f64
-            } else {
-                0.0
-            };
-            let active = self.on_count();
-            let warming = self.warming_count();
-            let queue: usize = snaps
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| self.state[*i] == SlotState::On)
-                .map(|(_, s)| s.queue_len())
-                .sum();
-            let obs = AutoscaleObservation {
-                now: t,
-                active,
-                warming,
-                queue,
-                arrival_rate,
-                min_replicas: self.cfg.min_replicas,
-                max_replicas: self.cfg.max_replicas,
-            };
-            let desired = self
-                .autoscale
-                .desired(&obs)
-                .clamp(self.cfg.min_replicas, self.cfg.max_replicas);
-            let committed = active + warming;
-            if desired > committed {
-                let mut need = desired - committed;
-                // A draining slot is still warm: cancelling its drain is
-                // free, so resurrect those before paying warmup on a
-                // parked slot.
-                for i in 0..self.slots.len() {
-                    if need == 0 {
-                        break;
-                    }
-                    if self.state[i] == SlotState::Draining {
-                        self.state[i] = SlotState::On;
-                        need -= 1;
-                    }
-                }
-                for i in 0..self.slots.len() {
-                    if need == 0 {
-                        break;
-                    }
-                    if self.state[i] != SlotState::Off {
-                        continue;
-                    }
-                    self.on_since[i] = t;
-                    self.scale_ups += 1;
-                    need -= 1;
-                    let warm = self.profiles[i].warmup_cycles;
-                    if warm == 0 {
-                        self.state[i] = SlotState::On;
-                        self.stats[i].windows.push((t, Cycle::MAX));
-                    } else {
-                        self.state[i] = SlotState::Warming { ready_at: t + warm };
-                        merge.push(t + warm, SimEvent::ReplicaWarmup(i));
-                        self.warmups += 1;
-                    }
-                }
-            } else if desired < committed {
-                // Idle slots park immediately; busy ones are condemned to
-                // drain — no new work, park on empty. Highest index
-                // first, so the low slots stay the stable core. Draining
-                // slots no longer count as committed, which is what lets
-                // a demand rebound cancel the drain above.
-                let mut excess = committed - desired;
-                for i in (0..self.slots.len()).rev() {
-                    if excess == 0 {
-                        break;
-                    }
-                    if self.state[i] != SlotState::On {
-                        continue;
-                    }
-                    if self.slots[i].is_idle() {
-                        self.park(i, t);
-                    } else {
-                        self.state[i] = SlotState::Draining;
-                    }
-                    excess -= 1;
-                }
-            }
-            self.peak_committed = self
-                .peak_committed
-                .max(self.on_count() + self.warming_count() + self.draining_count());
-
-            // Admission: high-priority tenants bypass; low-priority ones
-            // are deferred (once) or shed when dispatchable-fleet KV
-            // pressure predicts admitted goodput would degrade.
-            let tclass = self.tenants[oreq.tenant].clone();
-            let bumped = self.defer_delay.contains_key(&oreq.req.id);
-            if tclass.priority < self.cfg.admission.priority_floor && !bumped {
-                let on: Vec<&ReplicaSnapshot> = snaps
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| self.state[*i] == SlotState::On)
-                    .map(|(_, s)| s)
-                    .collect();
-                let pressure = if on.is_empty() {
-                    0.0
-                } else {
-                    on.iter().map(|s| s.kv_pressure).sum::<f64>() / on.len() as f64
-                };
-                if pressure >= self.cfg.admission.shed_pressure {
-                    self.shed[oreq.tenant] += 1;
-                    continue;
-                }
-                if pressure >= self.cfg.admission.defer_pressure {
-                    let delay = self.cfg.admission.defer_cycles.max(1);
-                    self.defer_delay.insert(oreq.req.id, delay);
-                    self.deferred[oreq.tenant] += 1;
-                    let mut later = oreq;
-                    later.req.arrival = t + delay;
-                    arrivals.push(later.req.arrival, later);
-                    continue;
-                }
-            }
-
-            // Routing: only warmed-up slots are candidates.
-            let mut candidates: Vec<RouteCandidate> = (0..self.slots.len())
-                .filter(|&i| self.state[i] == SlotState::On)
-                .map(|i| RouteCandidate {
-                    snapshot: snaps[i],
-                    profile: self.profiles[i],
-                })
-                .collect();
-            if candidates.is_empty() {
-                // A draining slot can serve right now — cancel one drain
-                // rather than defer the request behind a warmup.
-                if let Some(i) =
-                    (0..self.slots.len()).find(|&i| self.state[i] == SlotState::Draining)
-                {
-                    self.state[i] = SlotState::On;
-                    candidates.push(RouteCandidate {
-                        snapshot: snaps[i],
-                        profile: self.profiles[i],
-                    });
-                }
-            }
-            if candidates.is_empty() {
-                // No dispatchable capacity: wait for the earliest warmup
-                // (forcing a spin-up if nothing is even warming). The
-                // request is delayed, never lost.
-                let ready = self
-                    .state
-                    .iter()
-                    .filter_map(|s| match s {
-                        SlotState::Warming { ready_at } => Some(*ready_at),
-                        _ => None,
-                    })
-                    .min();
-                let ready = match ready {
-                    Some(r) => r,
-                    None => {
-                        // min_replicas >= 1 guarantees an Off slot here.
-                        let i = self
-                            .state
-                            .iter()
-                            .position(|s| *s == SlotState::Off)
-                            .expect("an empty committed set implies a parked slot");
-                        let warm = self.profiles[i].warmup_cycles.max(1);
-                        self.on_since[i] = t;
-                        self.state[i] = SlotState::Warming { ready_at: t + warm };
-                        merge.push(t + warm, SimEvent::ReplicaWarmup(i));
-                        self.warmups += 1;
-                        self.scale_ups += 1;
-                        t + warm
-                    }
-                };
-                let delay = ready.max(t + 1) - t;
-                if !bumped {
-                    self.deferred[oreq.tenant] += 1;
-                }
-                *self.defer_delay.entry(oreq.req.id).or_insert(0) += delay;
-                let mut later = oreq;
-                later.req.arrival = t + delay;
-                arrivals.push(later.req.arrival, later);
-                continue;
-            }
-            let pos = self.route.route(&candidates, &oreq.req, &tclass);
-            if pos >= candidates.len() {
-                self.restash(oreq, &mut arrivals);
-                return Err(SimError::Scheduling(format!(
-                    "route policy {:?} chose candidate {pos}, but {} are dispatchable",
-                    self.route.name(),
-                    candidates.len()
-                )));
-            }
-            let g = candidates[pos].snapshot.index;
-            let was_idle = self.slots[g].is_idle();
-            if let Err(e) =
-                self.slots[g].submit(oreq.req.id, oreq.req.input_len, oreq.req.output_len, t)
-            {
-                self.restash(oreq, &mut arrivals);
-                return Err(e);
-            }
-            self.dispatched += 1;
-            self.stats[g].served += 1;
-            self.req_tenant.insert(oreq.req.id, oreq.tenant);
-            if !bumped {
-                self.admitted[oreq.tenant] += 1;
-            }
-            snaps[g] = self.snapshot_of(g);
-            if was_idle {
-                merge.push(self.slots[g].now(), SimEvent::ReplicaIdle(g));
-            }
-        }
-
-        // Drain phase: run every remaining stream to completion.
-        let mut active: Vec<usize> = Vec::new();
-        while let Some((at, ev)) = merge.pop() {
-            match ev {
-                SimEvent::ReplicaIdle(i) => active.push(i),
-                SimEvent::ReplicaWarmup(i) => self.finish_warmup(i, at),
-                other => unreachable!("unexpected merge event {other:?}"),
-            }
-        }
-        active.sort_unstable();
-        advance_set(&mut self.slots, &active, Cycle::MAX, self.jobs)?;
-
-        let outcomes: Vec<ServingOutcome> = self.slots.iter().map(ServingSim::outcome).collect();
-        let fleet = FleetOutcome::aggregate(self.dispatched, outcomes);
-
-        // Close the cost accounting at the run's end: committed slots are
-        // charged to the makespan — capacity held idle is still paid for.
+    /// Closes the run's cost accounting and assembles its outcome.
+    fn outcome(&mut self, fleet: FleetOutcome) -> OrchestratorOutcome {
+        // Committed slots are charged to the makespan — capacity held
+        // idle is still paid for.
         let end = fleet.makespan;
-        for i in 0..self.slots.len() {
+        for i in 0..self.state.len() {
             if self.state[i] != SlotState::Off {
                 let since = self.on_since[i];
                 self.stats[i].cycles_on += end.max(since) - since;
@@ -1335,7 +1251,7 @@ impl<B: Backend> Orchestrator<B> {
 
         let tenants = self.tenant_outcomes(&fleet);
         let replica_cycles_on = self.stats.iter().map(|s| s.cycles_on).sum();
-        Ok(OrchestratorOutcome {
+        OrchestratorOutcome {
             tenants,
             slots: self.stats.clone(),
             replica_cycles_on,
@@ -1346,15 +1262,6 @@ impl<B: Backend> Orchestrator<B> {
             shed: self.shed.iter().sum(),
             deferred: self.deferred.iter().sum(),
             fleet,
-        })
-    }
-
-    /// Re-stashes an in-flight arrival plus everything still queued, so a
-    /// failed round keeps conservation at the request level.
-    fn restash(&mut self, current: OrchRequest, arrivals: &mut EventQueue<OrchRequest>) {
-        self.pending.push(current);
-        while let Some((_, r)) = arrivals.pop() {
-            self.pending.push(r);
         }
     }
 
@@ -1405,13 +1312,6 @@ impl<B: Backend> Orchestrator<B> {
         }
         outs
     }
-}
-
-/// One worker per available core by default, like the fleet.
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

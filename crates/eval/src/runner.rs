@@ -350,13 +350,52 @@ fn run_serving(
     memo: Option<&TraceMemo>,
 ) -> Result<Metrics, EvalError> {
     let system = &spec.system;
+    if system.orchestration_requested() {
+        return run_orchestrated(ctx, spec, seed, jobs, cost_model, memo);
+    }
+
+    let (replicas, requests) = serving_setup(ctx, spec, seed, cost_model, memo)?;
+    let mut fleet = FleetSim::new(
+        replicas,
+        policy_from_name(&system.dispatch).map_err(sim_err)?,
+    )
+    .map_err(sim_err)?;
+    if let Some(jobs) = jobs {
+        fleet = fleet.with_jobs(jobs);
+    }
+    for r in requests {
+        fleet.submit(r.req).map_err(sim_err)?;
+    }
+
+    // Replay every reachable cold bucket in parallel before serving
+    // starts (a no-op on warm or disk-restored memos; never changes
+    // results — pinned by the trace parity tests).
+    if memo.is_some() {
+        fleet.warm_replay();
+    }
+    let out = fleet.run().map_err(sim_err)?;
+    Ok(serving_metrics(&out))
+}
+
+/// A serving scenario's replicas and its tenant-tagged requests.
+type ServingSetup = (Vec<ServingSim<Box<dyn Backend>>>, Vec<OrchRequest>);
+
+/// Builds what both serving paths share: one fully configured replica
+/// per slot and the scenario's seeded, output-capped, tenant-tagged
+/// requests. Comma-separated backend/scheduler lists cycle over the
+/// replicas, mirroring the `fleet` CLI command.
+fn serving_setup(
+    ctx: &ExperimentContext,
+    spec: &ScenarioSpec,
+    seed: u64,
+    cost_model: CostModelKind,
+    memo: Option<&TraceMemo>,
+) -> Result<ServingSetup, EvalError> {
+    let system = &spec.system;
     let workload = spec
         .workload
         .as_ref()
         .expect("serving scenarios carry a workload");
-    if system.orchestration_requested() {
-        return run_orchestrated(ctx, spec, seed, jobs, cost_model, memo);
-    }
 
     let slo = SloTargets {
         ttft: (system.slo_ttft_ms * 1e6) as u64,
@@ -381,8 +420,7 @@ fn run_serving(
         slo: Some(slo),
     };
 
-    // Comma-separated backend/scheduler lists cycle over the replicas,
-    // mirroring the `fleet` CLI command.
+    let preemption = preemption_from_name(&system.preemption).map_err(sim_err)?;
     let backend_names: Vec<&str> = system.backend.split(',').map(str::trim).collect();
     let sched_names: Vec<&str> = system.scheduler.split(',').map(str::trim).collect();
     let mut replicas = Vec::new();
@@ -395,25 +433,17 @@ fn run_serving(
         let scheduler =
             scheduler_from_name(sched_names[i % sched_names.len()], system.chunk_tokens)
                 .map_err(sim_err)?;
-        replicas.push(
+        let mut replica =
             ServingSim::with_scheduler(backend, system.model.clone(), cfg.clone(), scheduler)
-                .with_cost_model(cost_model),
-        );
-    }
-    let mut fleet = FleetSim::new(
-        replicas,
-        policy_from_name(&system.dispatch).map_err(sim_err)?,
-    )
-    .map_err(sim_err)?
-    .with_preemption(preemption_from_name(&system.preemption).map_err(sim_err)?)
-    .with_swap(SwapConfig {
-        gb_per_sec: system.swap_gbps,
-    });
-    if let Some(memo) = memo {
-        fleet = fleet.with_shared_trace_memo(memo);
-    }
-    if let Some(jobs) = jobs {
-        fleet = fleet.with_jobs(jobs);
+                .with_cost_model(cost_model)
+                .with_preemption(preemption.clone())
+                .with_swap(SwapConfig {
+                    gb_per_sec: system.swap_gbps,
+                });
+        if let Some(memo) = memo {
+            replica = replica.with_trace_memo(memo);
+        }
+        replicas.push(replica);
     }
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -423,29 +453,23 @@ fn run_serving(
         requests: workload.requests,
     }
     .generate(&mut rng);
-    for (i, req) in generated.iter().enumerate() {
-        let output = match workload.output_cap {
-            Some(cap) => req.output_len.min(cap).max(1),
-            None => req.output_len,
-        };
-        fleet
-            .submit(FleetRequest {
+    let requests = generated
+        .iter()
+        .enumerate()
+        .map(|(i, req)| OrchRequest {
+            req: FleetRequest {
                 id: i as u32,
                 input_len: req.input_len,
-                output_len: output,
+                output_len: match workload.output_cap {
+                    Some(cap) => req.output_len.min(cap).max(1),
+                    None => req.output_len,
+                },
                 arrival: req.arrival,
-            })
-            .map_err(sim_err)?;
-    }
-
-    // Replay every reachable cold bucket in parallel before serving
-    // starts (a no-op on warm or disk-restored memos; never changes
-    // results — pinned by the trace parity tests).
-    if memo.is_some() {
-        fleet.warm_replay();
-    }
-    let out = fleet.run().map_err(sim_err)?;
-    Ok(serving_metrics(&out))
+            },
+            tenant: req.tenant,
+        })
+        .collect();
+    Ok((replicas, requests))
 }
 
 /// Executes a serving scenario through the meta-orchestrator: tenant SLO
@@ -464,54 +488,7 @@ fn run_orchestrated(
         .workload
         .as_ref()
         .expect("serving scenarios carry a workload");
-
-    let scenario_slo = SloTargets {
-        ttft: (system.slo_ttft_ms * 1e6) as u64,
-        tpot: system.slo_tpot_ms * 1e6,
-    };
-    let cfg = ServingConfig {
-        max_batch: system.max_batch,
-        tp: if system.sharding_requested() {
-            1
-        } else {
-            system.model.parallelism.tp
-        },
-        layers: if system.sharding_requested() {
-            system.model.num_layers
-        } else {
-            system.model.num_layers / system.model.parallelism.pp
-        },
-        target_completions: 0,
-        slo: Some(scenario_slo),
-    };
-
-    // Unlike the fleet path (which layers preemption/swap/memo on after
-    // construction), the orchestrator owns its slots from birth, so each
-    // slot is fully configured here.
-    let backend_names: Vec<&str> = system.backend.split(',').map(str::trim).collect();
-    let sched_names: Vec<&str> = system.scheduler.split(',').map(str::trim).collect();
-    let mut slots = Vec::new();
-    for i in 0..system.replicas {
-        let backend = maybe_sharded(
-            system,
-            ctx.backend_with_cost(backend_names[i % backend_names.len()], cost_model)
-                .map_err(sim_err)?,
-        )?;
-        let scheduler =
-            scheduler_from_name(sched_names[i % sched_names.len()], system.chunk_tokens)
-                .map_err(sim_err)?;
-        let mut slot =
-            ServingSim::with_scheduler(backend, system.model.clone(), cfg.clone(), scheduler)
-                .with_cost_model(cost_model)
-                .with_preemption(preemption_from_name(&system.preemption).map_err(sim_err)?)
-                .with_swap(SwapConfig {
-                    gb_per_sec: system.swap_gbps,
-                });
-        if let Some(memo) = memo {
-            slot = slot.with_trace_memo(memo);
-        }
-        slots.push(slot);
-    }
+    let (slots, requests) = serving_setup(ctx, spec, seed, cost_model, memo)?;
 
     // One orchestrator tenant per workload tenant class, its SLO falling
     // back to the scenario-level targets when the class has no override.
@@ -560,28 +537,8 @@ fn run_orchestrated(
         orch = orch.with_jobs(jobs);
     }
 
-    let mut rng = StdRng::seed_from_u64(seed);
-    let generated = neupims_workload::ScenarioWorkload {
-        arrival: workload.arrival,
-        tenants: workload.tenants.clone(),
-        requests: workload.requests,
-    }
-    .generate(&mut rng);
-    for (i, req) in generated.iter().enumerate() {
-        let output = match workload.output_cap {
-            Some(cap) => req.output_len.min(cap).max(1),
-            None => req.output_len,
-        };
-        orch.submit(OrchRequest {
-            req: FleetRequest {
-                id: i as u32,
-                input_len: req.input_len,
-                output_len: output,
-                arrival: req.arrival,
-            },
-            tenant: req.tenant,
-        })
-        .map_err(sim_err)?;
+    for r in requests {
+        orch.submit(r).map_err(sim_err)?;
     }
 
     let out = orch.run().map_err(sim_err)?;

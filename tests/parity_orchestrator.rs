@@ -2,7 +2,9 @@
 //! configuration — single tenant above the admission floor, static
 //! autoscale holding every slot on, warm start, load-only routing — must
 //! reproduce `FleetSim::run`'s `FleetOutcome` bit for bit: same requests,
-//! same dispatch decisions, same event order, same aggregate. The
+//! same dispatch decisions, same event order, same aggregate. Both run on
+//! one dispatch engine, so the grid also holds the orchestrator to the
+//! independent `FleetSim::run_lockstep` oracle. The
 //! capability/tenant/autoscale layers are strictly additive (the PR-7
 //! lockstep-vs-event and PR-9 sharding parity pattern), across every
 //! scheduler x preemption x dispatch combination and every `--jobs`
@@ -125,14 +127,23 @@ fn degenerate_orchestrator_matches_fleet_across_the_full_policy_grid() {
             for dispatch in POLICY_NAMES {
                 let tag = format!("{scheduler}/{preemption}/{dispatch}");
                 let mut legacy = fleet(2, scheduler, preemption, dispatch);
+                let mut lockstep = fleet(2, scheduler, preemption, dispatch);
                 let mut orch = degenerate_orchestrator(2, scheduler, preemption, dispatch);
                 for &req in &requests {
                     legacy.submit(req).unwrap();
+                    lockstep.submit(req).unwrap();
                     orch.submit(OrchRequest { req, tenant: 0 }).unwrap();
                 }
                 let want = legacy.run().unwrap();
                 let got = orch.run().unwrap();
                 assert_eq!(got.fleet, want, "{tag}: orchestrator diverged from fleet");
+                // Both front-ends share one dispatch engine, so also hold
+                // the orchestrator to the independent lockstep oracle.
+                assert_eq!(
+                    got.fleet,
+                    lockstep.run_lockstep().unwrap(),
+                    "{tag}: orchestrator diverged from the lockstep fleet"
+                );
                 // The meta layers must all have been inert.
                 assert_eq!(got.warmups, 0, "{tag}: static warm start paid warmup");
                 assert_eq!(got.shed, 0, "{tag}: priority 255 was shed");
