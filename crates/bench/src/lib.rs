@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use criterion::Criterion;
-use neupims_core::backend::{GpuRooflineBackend, NeuPimsBackend};
+use neupims_core::backend::GpuRooflineBackend;
 use neupims_core::cluster::ClusterSpec;
 use neupims_core::device::{Device, DeviceMode};
 use neupims_core::experiments::ExperimentContext;
@@ -53,15 +53,15 @@ pub fn sharding_scale_batch() -> Vec<u64> {
 /// Builds the sharded-deployment benchmark fixture: Table 2 NeuPIMs
 /// chips at `tp`-way tensor parallelism over the default PCIe fabric
 /// (the `--interconnect pcie` CLI deployment).
-pub fn sharded_deployment(tp: u32) -> ShardedBackend<NeuPimsBackend> {
+pub fn sharded_deployment(tp: u32) -> ShardedBackend<Device> {
     sharded_deployment_pp(tp, 1)
 }
 
 /// [`sharded_deployment`] with an explicit pipeline degree, for the
 /// stage-hop and bubble pricing paths.
-pub fn sharded_deployment_pp(tp: u32, pp: u32) -> ShardedBackend<NeuPimsBackend> {
+pub fn sharded_deployment_pp(tp: u32, pp: u32) -> ShardedBackend<Device> {
     ShardedBackend::new(
-        NeuPimsBackend::table2().expect("Table 2 configuration calibrates"),
+        Device::table2().expect("Table 2 configuration calibrates"),
         ClusterSpec::new(tp, pp),
         Box::new(PcieLink::default()),
     )

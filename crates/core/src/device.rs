@@ -40,7 +40,7 @@
 use neupims_kvcache::KvGeometry;
 use neupims_llm::compiler::{compile_block, CompiledBlock};
 use neupims_npu::VectorCost;
-use neupims_pim::PimCalibration;
+use neupims_pim::{calibrate, PimCalibration};
 use neupims_sched::{
     assign_min_load, assign_round_robin, AnalyticCostModel, CostModelKind, MhaCostModel,
     MhaLatencyEstimator, TraceDrivenCostModel, TraceMemo,
@@ -209,6 +209,27 @@ impl Device {
             cost: CostModelKind::Analytic,
             trace_memo: TraceMemo::new(),
         }
+    }
+
+    /// The full NeuPIMs system on the Table 2 hardware (calibrates the PIM
+    /// constants from the cycle model).
+    ///
+    /// # Errors
+    ///
+    /// Propagates calibration failures.
+    pub fn table2() -> Result<Self, SimError> {
+        Self::table2_mode(DeviceMode::neupims())
+    }
+
+    /// A specific [`DeviceMode`] on the Table 2 hardware.
+    ///
+    /// # Errors
+    ///
+    /// Propagates calibration failures.
+    pub fn table2_mode(mode: DeviceMode) -> Result<Self, SimError> {
+        let cfg = NeuPimsConfig::table2();
+        let cal = calibrate(&cfg)?;
+        Ok(Self::new(cfg, cal, mode))
     }
 
     /// Selects the MHA cost model this device prices decode iterations

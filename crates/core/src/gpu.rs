@@ -23,22 +23,6 @@ use crate::metrics::IterationBreakdown;
 /// # Errors
 ///
 /// Propagates model validation/compilation errors; rejects empty batches.
-#[deprecated(
-    since = "0.1.0",
-    note = "use neupims_core::backend::GpuRooflineBackend via the Backend trait"
-)]
-pub fn gpu_decode_iteration(
-    gpu: &GpuSpec,
-    model: &LlmConfig,
-    tp: u32,
-    layers: u32,
-    seq_lens: &[u64],
-) -> Result<IterationBreakdown, SimError> {
-    decode_impl(gpu, model, tp, layers, seq_lens)
-}
-
-/// Shared implementation behind [`gpu_decode_iteration`] and
-/// [`crate::backend::GpuRooflineBackend`].
 pub(crate) fn decode_impl(
     gpu: &GpuSpec,
     model: &LlmConfig,

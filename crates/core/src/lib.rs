@@ -5,7 +5,7 @@
 //! substrate crates:
 //!
 //! * [`backend`] — the unified [`Backend`] trait every simulated system
-//!   implements ([`NeuPimsBackend`] in all three device modes,
+//!   implements ([`Device`] in all three device modes,
 //!   [`GpuRooflineBackend`], [`TransPimBackend`]), with structured
 //!   [`IterationResult`] / [`BackendError`] types and a name registry for
 //!   CLI selection;
@@ -66,7 +66,7 @@
 //! # Example
 //!
 //! ```
-//! use neupims_core::backend::NeuPimsBackend;
+//! use neupims_core::device::Device;
 //! use neupims_core::simulation::Simulation;
 //! use neupims_types::LlmConfig;
 //! use neupims_workload::Dataset;
@@ -74,7 +74,7 @@
 //! let model = LlmConfig::gpt3_7b();
 //! let sim = Simulation::builder()
 //!     .model(model)
-//!     .backend(NeuPimsBackend::table2().unwrap())
+//!     .backend(Device::table2().unwrap())
 //!     .dataset(Dataset::ShareGpt)
 //!     .batch(64)
 //!     .build()
@@ -109,8 +109,7 @@ pub mod transpim;
 
 pub use backend::{
     backend_from_name, backend_from_name_with_cost, Backend, BackendCaps, BackendError,
-    CapabilityProfile, GpuRooflineBackend, IterationResult, NeuPimsBackend, TransPimBackend,
-    BACKEND_NAMES,
+    CapabilityProfile, GpuRooflineBackend, IterationResult, TransPimBackend, BACKEND_NAMES,
 };
 pub use cluster::{cluster_throughput, ClusterSpec};
 pub use device::{Device, DeviceMode, SbiPolicy};
@@ -120,8 +119,6 @@ pub use fleet::{
     policy_from_name, DispatchPolicy, FleetOutcome, FleetRequest, FleetSim, JoinShortestQueue,
     KvLeastLoaded, ReplicaSnapshot, RoundRobin, POLICY_NAMES,
 };
-#[allow(deprecated)]
-pub use gpu::gpu_decode_iteration;
 pub use interconnect::{
     interconnect_from_name, IdealLink, Interconnect, NocLink, PcieLink, UnifiedMemoryLink,
     INTERCONNECT_NAMES,
@@ -149,5 +146,3 @@ pub use sharding::{
     ShardedIteration,
 };
 pub use simulation::{Simulation, SimulationBuilder};
-#[allow(deprecated)]
-pub use transpim::transpim_decode_iteration;

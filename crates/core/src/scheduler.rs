@@ -44,7 +44,7 @@
 //! # Example
 //!
 //! ```
-//! use neupims_core::backend::NeuPimsBackend;
+//! use neupims_core::device::Device;
 //! use neupims_core::scheduler::{scheduler_from_name, SchedulerPolicy, SubBatchInterleaved};
 //! use neupims_core::serving::{ServingConfig, ServingSim};
 //! use neupims_types::LlmConfig;
@@ -57,7 +57,7 @@
 //!     slo: None,
 //! };
 //! let mut sim = ServingSim::with_scheduler(
-//!     NeuPimsBackend::table2().unwrap(),
+//!     Device::table2().unwrap(),
 //!     LlmConfig::gpt3_7b(),
 //!     cfg,
 //!     Box::new(SubBatchInterleaved::new(512)),
@@ -621,7 +621,8 @@ pub fn scheduler_from_name(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{GpuRooflineBackend, NeuPimsBackend};
+    use crate::backend::GpuRooflineBackend;
+    use crate::device::{Device, DeviceMode};
 
     type DemandFixtures = (
         Vec<(RequestId, u64)>,
@@ -678,7 +679,7 @@ mod tests {
 
     #[test]
     fn chunks_are_fifo_and_budgeted() {
-        let backend = NeuPimsBackend::table2().unwrap();
+        let backend = Device::table2().unwrap();
         let model = LlmConfig::gpt3_7b();
         let (_, prefill, _) = demand_fixtures();
         let (chunks, cycles) = take_chunks(&backend, &model, 4, 32, &prefill, 256).unwrap();
@@ -695,7 +696,7 @@ mod tests {
 
     #[test]
     fn chunk_costs_telescope_to_the_lump_cost() {
-        let backend = NeuPimsBackend::table2().unwrap();
+        let backend = Device::table2().unwrap();
         let model = LlmConfig::gpt3_7b();
         let lump = Backend::prefill_cycles(&backend, &model, 4, 32, &[1000]).unwrap();
         let mut done = 0u64;
@@ -718,7 +719,7 @@ mod tests {
 
     #[test]
     fn interleaved_hides_prefill_under_pim_phases() {
-        let backend = NeuPimsBackend::table2().unwrap();
+        let backend = Device::table2().unwrap();
         let model = LlmConfig::gpt3_7b();
         let (decode, prefill, per_channel) = demand_fixtures();
         let demand = IterationDemand {
@@ -771,7 +772,7 @@ mod tests {
         // an estimator, but its banks block all MEM traffic while PIM
         // computes — the NPU cannot stream prefill weights during GEMV,
         // so no cycle may be credited as hidden.
-        let backend = NeuPimsBackend::table2_mode(crate::device::DeviceMode::NaiveNpuPim).unwrap();
+        let backend = Device::table2_mode(DeviceMode::NaiveNpuPim).unwrap();
         assert!(backend.caps().uses_npu && backend.caps().uses_pim);
         assert!(!backend.caps().dual_row_buffer);
         let model = LlmConfig::gpt3_7b();
@@ -794,7 +795,7 @@ mod tests {
 
     #[test]
     fn prefill_only_iterations_cost_only_the_chunk() {
-        let backend = NeuPimsBackend::table2().unwrap();
+        let backend = Device::table2().unwrap();
         let model = LlmConfig::gpt3_7b();
         let (_, prefill, _) = demand_fixtures();
         let per_channel: Vec<Vec<RequestId>> = vec![Vec::new(); 32];

@@ -176,7 +176,8 @@ impl<B: Backend> ShardedBackend<B> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for zero parallel degrees.
+    /// Returns [`SimError::InvalidConfig`] for zero parallel degrees and
+    /// for degrees whose product overflows the device count.
     pub fn new(
         inner: B,
         spec: ClusterSpec,
@@ -184,6 +185,12 @@ impl<B: Backend> ShardedBackend<B> {
     ) -> Result<Self, SimError> {
         if spec.tp == 0 || spec.pp == 0 {
             return Err(SimError::InvalidConfig("zero parallel degree".into()));
+        }
+        if spec.tp.checked_mul(spec.pp).is_none() {
+            return Err(SimError::InvalidConfig(format!(
+                "TP={} x PP={} overflows the device count",
+                spec.tp, spec.pp
+            )));
         }
         let label = format!(
             "{} x{} (tp{} pp{}, {})",
@@ -421,11 +428,11 @@ impl<B: Backend> Backend for ShardedBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::NeuPimsBackend;
+    use crate::device::Device;
     use crate::interconnect::{IdealLink, NocLink, PcieLink, UnifiedMemoryLink};
 
-    fn backend() -> NeuPimsBackend {
-        NeuPimsBackend::table2().unwrap()
+    fn backend() -> Device {
+        Device::table2().unwrap()
     }
 
     #[test]
@@ -467,9 +474,7 @@ mod tests {
         let b = backend();
         let model = LlmConfig::gpt3_7b();
         let sharded = ShardedBackend::new(&b, ClusterSpec::new(1, 1), Box::new(IdealLink)).unwrap();
-        let inner = b
-            .decode_iteration(&model, 4, model.num_layers, &[300; 64])
-            .unwrap();
+        let inner = Backend::decode_iteration(&b, &model, 4, model.num_layers, &[300; 64]).unwrap();
         let outer = sharded
             .decode_iteration(&model, 4, model.num_layers, &[300; 64])
             .unwrap();
@@ -560,5 +565,12 @@ mod tests {
         assert!(s.label().contains("NeuPIMs"), "{}", s.label());
         assert_eq!(s.spec().devices(), 8);
         assert_eq!(s.fabric().name(), "ideal");
+    }
+
+    #[test]
+    fn overflowing_degrees_are_rejected() {
+        let b = crate::backend::GpuRooflineBackend::a100();
+        let sharded = ShardedBackend::new(&b, ClusterSpec::new(65536, 65536), Box::new(IdealLink));
+        assert!(matches!(sharded, Err(SimError::InvalidConfig(_))));
     }
 }

@@ -8,14 +8,14 @@
 //! # Example
 //!
 //! ```
-//! use neupims_core::backend::NeuPimsBackend;
+//! use neupims_core::device::Device;
 //! use neupims_core::simulation::Simulation;
 //! use neupims_types::LlmConfig;
 //! use neupims_workload::Dataset;
 //!
 //! let sim = Simulation::builder()
 //!     .model(LlmConfig::gpt3_7b())
-//!     .backend(NeuPimsBackend::table2().unwrap())
+//!     .backend(Device::table2().unwrap())
 //!     .dataset(Dataset::ShareGpt)
 //!     .batch(64)
 //!     .build()
@@ -23,7 +23,7 @@
 //! assert!(sim.throughput().unwrap() > 0.0);
 //! ```
 //!
-//! Backends are interchangeable: swap `NeuPimsBackend` for
+//! Backends are interchangeable: swap `Device` for
 //! [`GpuRooflineBackend`](crate::backend::GpuRooflineBackend),
 //! [`TransPimBackend`](crate::backend::TransPimBackend), or a boxed backend
 //! from [`backend_from_name`](crate::backend::backend_from_name), and every
@@ -168,7 +168,7 @@ impl<T> SimulationBuilder<T> {
     /// through the cycle-level DRAM model.
     ///
     /// The backend's *decode iterations* are priced by its own configured
-    /// kind (e.g. [`NeuPimsBackend::with_cost_model`]), which this
+    /// kind (e.g. [`Device::with_cost_model`]), which this
     /// serving-layer knob cannot reach — configure the backend too for a
     /// fully trace-priced run (the CLI's `--cost-model` sets both). When
     /// unset, serving follows the backend's configured kind
@@ -176,7 +176,7 @@ impl<T> SimulationBuilder<T> {
     /// backend is always coherent. Backends without a PIM ignore the knob
     /// entirely.
     ///
-    /// [`NeuPimsBackend::with_cost_model`]: crate::backend::NeuPimsBackend::with_cost_model
+    /// [`Device::with_cost_model`]: crate::device::Device::with_cost_model
     pub fn cost_model(mut self, kind: CostModelKind) -> Self {
         self.cost_model = Some(kind);
         self
@@ -455,14 +455,15 @@ impl<B: Backend> Simulation<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{backend_from_name, GpuRooflineBackend, NeuPimsBackend, TransPimBackend};
+    use crate::backend::{backend_from_name, GpuRooflineBackend, TransPimBackend};
+    use crate::device::Device;
     use crate::testsupport::table2_pair;
 
     #[test]
     fn builder_defaults_follow_the_model() {
         let sim = Simulation::builder()
             .model(LlmConfig::gpt3_30b())
-            .backend(NeuPimsBackend::table2().unwrap())
+            .backend(Device::table2().unwrap())
             .build()
             .unwrap();
         // GPT3-30B publishes TP=4, PP=2: half the layers resident.
@@ -513,7 +514,7 @@ mod tests {
     fn cluster_and_serving_run_through_the_builder() {
         let sim = Simulation::builder()
             .model(LlmConfig::gpt3_7b())
-            .backend(NeuPimsBackend::table2().unwrap())
+            .backend(Device::table2().unwrap())
             .batch(64)
             .samples(2)
             .build()
@@ -560,7 +561,7 @@ mod tests {
         let sim = |b: bool| {
             if b {
                 Simulation::builder()
-                    .backend(NeuPimsBackend::table2().unwrap())
+                    .backend(Device::table2().unwrap())
                     .batch(64)
                     .samples(2)
                     .build()

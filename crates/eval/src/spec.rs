@@ -440,6 +440,17 @@ fn opt_usize(t: &Table, key: &str) -> Result<Option<usize>, SpecError> {
     }
 }
 
+/// An optional non-negative integer that must fit the simulator's `u32`
+/// fields (parallel degrees, channel counts, token counts); larger values
+/// are an error rather than a silent truncation.
+fn opt_u32(t: &Table, key: &str) -> Result<Option<u32>, SpecError> {
+    opt_usize(t, key)?
+        .map(|v| {
+            u32::try_from(v).map_err(|_| SpecError(format!("{key:?} = {v} exceeds {}", u32::MAX)))
+        })
+        .transpose()
+}
+
 // --------------------------------------------------------------- scenarios
 
 /// Parses a model name into its [`LlmConfig`] (the CLI's `--model` names).
@@ -485,7 +496,7 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
     let system = SystemSpec {
         backend: opt_string(t, "backend")?.unwrap_or_else(|| "neupims".into()),
         scheduler: opt_string(t, "scheduler")?.unwrap_or_else(|| "lump".into()),
-        chunk_tokens: opt_usize(t, "chunk-tokens")?.unwrap_or(256) as u32,
+        chunk_tokens: opt_u32(t, "chunk-tokens")?.unwrap_or(256),
         preemption: opt_string(t, "preemption")?.unwrap_or_else(|| "drop".into()),
         cost_model,
         replicas: opt_usize(t, "replicas")?.unwrap_or(1).max(1),
@@ -495,10 +506,10 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
         swap_gbps: opt_f64(t, "swap-gbps")?.unwrap_or(32.0),
         slo_ttft_ms: opt_f64(t, "slo-ttft-ms")?.unwrap_or(50.0),
         slo_tpot_ms: opt_f64(t, "slo-tpot-ms")?.unwrap_or(10.0),
-        channels: opt_usize(t, "channels")?.map(|c| c as u32),
+        channels: opt_u32(t, "channels")?,
         kv_mib_per_channel: opt_usize(t, "kv-mib-per-channel")?.map(|m| m as u64),
-        tp: opt_usize(t, "tp")?.map(|v| v as u32),
-        pp: opt_usize(t, "pp")?.map(|v| v as u32),
+        tp: opt_u32(t, "tp")?,
+        pp: opt_u32(t, "pp")?,
         interconnect: opt_string(t, "interconnect")?,
         link_gbps: opt_f64(t, "link-gbps")?,
         autoscale: opt_name(t, "autoscale", &AUTOSCALE_NAMES, |n| {
@@ -568,7 +579,7 @@ fn parse_workload(t: &Table, dataset: Dataset, seed: u64) -> Result<WorkloadSpec
         arrival,
         tenants,
         tenant_policies,
-        output_cap: opt_usize(t, "output-cap")?.map(|c| c as u32),
+        output_cap: opt_u32(t, "output-cap")?,
     })
 }
 
@@ -627,6 +638,13 @@ fn parse_length(v: &Value, key: &str) -> Result<LengthDistribution, SpecError> {
             .and_then(Value::as_f64)
             .ok_or_else(|| SpecError(format!("{key:?}[{i}] must be a number")))
     };
+    let count = |i: usize| -> Result<u32, SpecError> {
+        let v = num(i)?;
+        if !(0.0..=u32::MAX as f64).contains(&v) {
+            return serr(format!("{key:?}[{i}] = {v} is outside 0..={}", u32::MAX));
+        }
+        Ok(v as u32)
+    };
     match kind {
         "dataset-input" => {
             let d = arr
@@ -647,10 +665,10 @@ fn parse_length(v: &Value, key: &str) -> Result<LengthDistribution, SpecError> {
             sigma: num(2)?,
         }),
         "uniform" => Ok(LengthDistribution::Uniform {
-            lo: num(1)? as u32,
-            hi: num(2)? as u32,
+            lo: count(1)?,
+            hi: count(2)?,
         }),
-        "fixed" => Ok(LengthDistribution::Fixed(num(1)? as u32)),
+        "fixed" => Ok(LengthDistribution::Fixed(count(1)?)),
         other => serr(format!("unknown length distribution {other:?}")),
     }
 }
@@ -833,6 +851,20 @@ min = 0.5
         assert_eq!(t.kind, ScenarioKind::Throughput);
         assert_eq!(t.expects[0].severity, Severity::Warn);
         assert_eq!(suite.compares.len(), 1);
+    }
+
+    #[test]
+    fn rejects_integers_beyond_u32() {
+        let wide = SUITE.replace("channels = 4", "channels = 4\ntp = 4294967297");
+        let e = SuiteSpec::parse(&wide).unwrap_err();
+        assert!(e.0.contains("\"tp\"") && e.0.contains("4294967297"), "{e}");
+
+        for bad in ["4294967296", "-1"] {
+            let wide = SUITE.replace("[\"fixed\", 200]", &format!("[\"fixed\", {bad}]"));
+            let e = SuiteSpec::parse(&wide).unwrap_err();
+            let want = format!("\"output\"[1] = {bad} is outside");
+            assert!(e.0.contains(&want), "{e}");
+        }
     }
 
     #[test]

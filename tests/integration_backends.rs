@@ -1,18 +1,13 @@
-//! Backend parity: the new `Backend` implementations must price cycles
-//! identically to the legacy per-system entry points they replace, and the
-//! `Simulation` builder must agree with both.
+//! Backend parity: `Device`'s `Backend` adapter must price cycles
+//! identically to its inherent methods, the name registry must build the
+//! configuration each name promises, and the `Simulation` builder must
+//! agree with direct backend calls.
 
-#![allow(deprecated)] // the point of this test is to pin the legacy paths
-
-use neupims_core::backend::{
-    backend_from_name, Backend, GpuRooflineBackend, NeuPimsBackend, TransPimBackend,
-};
+use neupims_core::backend::{backend_from_name, Backend, GpuRooflineBackend, TransPimBackend};
 use neupims_core::device::{Device, DeviceMode, SbiPolicy};
-use neupims_core::gpu::gpu_decode_iteration;
 use neupims_core::simulation::Simulation;
-use neupims_core::transpim::transpim_decode_iteration;
 use neupims_pim::calibrate;
-use neupims_types::{GpuSpec, LlmConfig, NeuPimsConfig};
+use neupims_types::{LlmConfig, NeuPimsConfig};
 
 fn setup() -> (NeuPimsConfig, neupims_pim::PimCalibration) {
     let cfg = NeuPimsConfig::table2();
@@ -48,57 +43,24 @@ fn neupims_backend_matches_legacy_device_in_every_mode() {
     ];
     for mode in modes {
         let device = Device::new(cfg, cal, mode);
-        let backend = NeuPimsBackend::new(cfg, cal, mode);
         for seqs in batches() {
-            let legacy = device
+            let inherent = device
                 .decode_iteration(&model, 4, model.num_layers, &seqs)
                 .unwrap();
-            let via_backend = backend
-                .decode_iteration(&model, 4, model.num_layers, &seqs)
-                .unwrap();
+            let via_backend =
+                Backend::decode_iteration(&device, &model, 4, model.num_layers, &seqs).unwrap();
+            assert_eq!(via_backend.backend, mode.label());
             assert_eq!(
-                legacy,
+                inherent,
                 via_backend.breakdown,
                 "{} diverged on {seqs:?}",
                 mode.label()
             );
         }
         // Prefill parity too.
-        let legacy = device.prefill_cycles(&model, 4, 8, &[200; 16]).unwrap();
-        let via_backend = backend.prefill_cycles(&model, 4, 8, &[200; 16]).unwrap();
-        assert_eq!(legacy, via_backend, "{} prefill diverged", mode.label());
-    }
-}
-
-#[test]
-fn gpu_backend_matches_legacy_free_function() {
-    let model = LlmConfig::gpt3_13b();
-    let gpu = GpuSpec::a100();
-    let backend = GpuRooflineBackend::new(gpu.clone());
-    for seqs in batches() {
-        let legacy = gpu_decode_iteration(&gpu, &model, 4, model.num_layers, &seqs).unwrap();
-        let via_backend = backend
-            .decode_iteration(&model, 4, model.num_layers, &seqs)
-            .unwrap();
-        assert_eq!(legacy, via_backend.breakdown, "GPU diverged on {seqs:?}");
-    }
-}
-
-#[test]
-fn transpim_backend_matches_legacy_free_function() {
-    let (cfg, cal) = setup();
-    let model = LlmConfig::gpt3_7b();
-    let backend = TransPimBackend::new(cfg, cal);
-    for seqs in batches() {
-        let legacy =
-            transpim_decode_iteration(&cfg, &cal, &model, 4, model.num_layers, &seqs).unwrap();
-        let via_backend = backend
-            .decode_iteration(&model, 4, model.num_layers, &seqs)
-            .unwrap();
-        assert_eq!(
-            legacy, via_backend.breakdown,
-            "TransPIM diverged on {seqs:?}"
-        );
+        let inherent = device.prefill_cycles(&model, 4, 8, &[200; 16]).unwrap();
+        let via_backend = Backend::prefill_cycles(&device, &model, 4, 8, &[200; 16]).unwrap();
+        assert_eq!(inherent, via_backend, "{} prefill diverged", mode.label());
     }
 }
 
@@ -107,41 +69,29 @@ fn registry_backends_match_their_legacy_paths() {
     let (cfg, cal) = setup();
     let model = LlmConfig::gpt3_7b();
     let seqs = vec![300u64; 128];
-    let legacy: Vec<u64> = vec![
-        {
-            // Registry GPU applies the Section 8.1 fairness bandwidth.
-            let mut gpu = GpuSpec::a100();
-            gpu.mem_bw_bytes_per_sec = cal.mem_stream_bw * cfg.mem.channels as f64 * 1e9;
-            gpu_decode_iteration(&gpu, &model, 4, model.num_layers, &seqs)
-                .unwrap()
-                .total_cycles
-        },
-        Device::new(cfg, cal, DeviceMode::NpuOnly)
-            .decode_iteration(&model, 4, model.num_layers, &seqs)
-            .unwrap()
-            .total_cycles,
-        Device::new(cfg, cal, DeviceMode::NaiveNpuPim)
-            .decode_iteration(&model, 4, model.num_layers, &seqs)
-            .unwrap()
-            .total_cycles,
-        Device::new(cfg, cal, DeviceMode::neupims())
-            .decode_iteration(&model, 4, model.num_layers, &seqs)
-            .unwrap()
-            .total_cycles,
-        transpim_decode_iteration(&cfg, &cal, &model, 4, model.num_layers, &seqs)
-            .unwrap()
-            .total_cycles,
+    // The registry GPU gets the Section 8.1 fairness bandwidth.
+    let expected: Vec<Box<dyn Backend>> = vec![
+        Box::new(
+            GpuRooflineBackend::a100()
+                .with_mem_bw(cal.mem_stream_bw * cfg.mem.channels as f64 * 1e9),
+        ),
+        Box::new(Device::new(cfg, cal, DeviceMode::NpuOnly)),
+        Box::new(Device::new(cfg, cal, DeviceMode::NaiveNpuPim)),
+        Box::new(Device::new(cfg, cal, DeviceMode::neupims())),
+        Box::new(TransPimBackend::new(cfg, cal)),
     ];
     for (name, expect) in ["gpu", "npu-only", "naive", "neupims", "transpim"]
         .into_iter()
-        .zip(legacy)
+        .zip(expected)
     {
         let b = backend_from_name(name, &cfg, &cal).unwrap();
         let got = b
             .decode_iteration(&model, 4, model.num_layers, &seqs)
-            .unwrap()
-            .total_cycles();
-        assert_eq!(got, expect, "registry backend {name} diverged");
+            .unwrap();
+        let want = expect
+            .decode_iteration(&model, 4, model.num_layers, &seqs)
+            .unwrap();
+        assert_eq!(got, want, "registry backend {name} diverged");
     }
 }
 
@@ -149,16 +99,21 @@ fn registry_backends_match_their_legacy_paths() {
 fn simulation_builder_agrees_with_direct_backend_calls() {
     let (cfg, cal) = setup();
     let model = LlmConfig::gpt3_7b();
-    let backend = NeuPimsBackend::new(cfg, cal, DeviceMode::neupims());
+    let backend = Device::new(cfg, cal, DeviceMode::neupims());
     let sim = Simulation::builder()
         .model(model.clone())
         .backend(backend.clone())
         .build()
         .unwrap();
     let seqs = vec![300u64; 64];
-    let direct = backend
-        .decode_iteration(&model, model.parallelism.tp, model.num_layers, &seqs)
-        .unwrap();
+    let direct = Backend::decode_iteration(
+        &backend,
+        &model,
+        model.parallelism.tp,
+        model.num_layers,
+        &seqs,
+    )
+    .unwrap();
     let via_sim = sim.decode_iteration(&seqs).unwrap();
     assert_eq!(direct, via_sim);
 }

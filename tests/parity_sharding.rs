@@ -14,9 +14,9 @@
 //!   serial device modes (whose collective term is one ring per layer
 //!   pair) the default link reproduces legacy numbers bit-for-bit too.
 
-use neupims_core::backend::{Backend, NeuPimsBackend, TransPimBackend};
+use neupims_core::backend::{Backend, TransPimBackend};
 use neupims_core::cluster::{cluster_throughput, ClusterSpec};
-use neupims_core::device::DeviceMode;
+use neupims_core::device::{Device, DeviceMode};
 use neupims_core::interconnect::{IdealLink, PcieLink};
 use neupims_core::sharding::ShardedBackend;
 use neupims_core::simulation::Simulation;
@@ -72,7 +72,7 @@ fn ideal_fabric_matches_legacy_bit_for_bit_on_every_device_mode() {
         DeviceMode::NaiveNpuPim,
         DeviceMode::neupims(),
     ] {
-        let b = NeuPimsBackend::new(cfg, cal, mode);
+        let b = Device::new(cfg, cal, mode);
         assert_parity(&b, &model, &seqs, true, b.label());
     }
 }
@@ -92,11 +92,11 @@ fn pcie_fabric_matches_legacy_on_serial_modes() {
     // layer, which PcieLink::from_config reproduces formula-for-formula.
     // (The interleaved NeuPIMs mode prices collectives per sub-batch, so
     // only the ideal limit is exact there.)
-    let b = NeuPimsBackend::table2_mode(DeviceMode::NpuOnly).unwrap();
+    let b = Device::table2_mode(DeviceMode::NpuOnly).unwrap();
     let model = LlmConfig::gpt3_7b();
     let seqs: Vec<u64> = (0..48u64).map(|i| 80 + (i * 53) % 700).collect();
     assert_parity(&b, &model, &seqs, false, "npu-only/pcie");
-    let b = NeuPimsBackend::table2_mode(DeviceMode::NaiveNpuPim).unwrap();
+    let b = Device::table2_mode(DeviceMode::NaiveNpuPim).unwrap();
     assert_parity(&b, &model, &seqs, false, "naive/pcie");
 }
 
@@ -106,7 +106,7 @@ fn parity_survives_remainder_micro_batches() {
     // representative micro-batch; the sharded path must do the same.
     let cfg = zero_link_config();
     let cal = calibrate(&cfg).unwrap();
-    let b = NeuPimsBackend::new(cfg, cal, DeviceMode::neupims());
+    let b = Device::new(cfg, cal, DeviceMode::neupims());
     let model = LlmConfig::gpt3_7b();
     let spec = ClusterSpec::new(4, 2);
     for n in [17usize, 18, 31] {
@@ -129,7 +129,7 @@ fn simulation_level_parity_shares_the_sampler() {
     let cal = calibrate(&cfg).unwrap();
     let sim = Simulation::builder()
         .model(LlmConfig::gpt3_7b())
-        .backend(NeuPimsBackend::new(cfg, cal, DeviceMode::neupims()))
+        .backend(Device::new(cfg, cal, DeviceMode::neupims()))
         .dataset(Dataset::ShareGpt)
         .batch(64)
         .build()
@@ -148,7 +148,7 @@ fn simulation_level_parity_shares_the_sampler() {
 fn real_fabric_never_beats_the_free_limit() {
     // Not a parity point but the sanity bound that makes parity
     // meaningful: charging for the link can only slow the cluster down.
-    let b = NeuPimsBackend::table2().unwrap();
+    let b = Device::table2().unwrap();
     let model = LlmConfig::gpt3_30b();
     let seqs = vec![300u64; 64];
     for (tp, pp) in [(4u32, 1u32), (8, 1), (4, 2)] {
