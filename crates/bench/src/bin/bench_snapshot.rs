@@ -1,21 +1,20 @@
 //! `bench-snapshot` — JSON perf-trajectory snapshots, measured with
-//! `std::time` (the vendored criterion shim reports but does not persist).
+//! `std::time`.
 //!
-//! Four modes:
+//! Five modes:
 //!
-//! * default — prices the same ShareGPT-shaped 256-request batch as the
-//!   `cost_models` criterion bench through four paths (Algorithm 1
-//!   analytic, cold trace-driven replay, warm memoized replay, and two
-//!   models pricing concurrently over one shared memo) and writes
-//!   `BENCH_cost_models.json`;
+//! * default — prices a ShareGPT-shaped 256-request batch through four
+//!   paths (Algorithm 1 analytic, cold trace-driven replay, warm memoized
+//!   replay, and two models pricing concurrently over one shared memo)
+//!   and writes `BENCH_cost_models.json`;
 //! * `fleet` — times the event-driven `FleetSim::run` at 1 / 16 / 256 /
 //!   1000 replicas (1000 requests per replica, so the 1000-replica point
 //!   is a ~1M-request fleet) plus the lockstep golden reference on
 //!   identical workloads at 256 and 1000 replicas, and writes
 //!   `BENCH_fleet.json` with the `lockstep_over_event_256` and
 //!   `lockstep_over_event_1000` speedup ratios;
-//! * `sharding` — times the sharded-deployment pricing of the
-//!   `sharding_scale` criterion bench (one GPT3-30B decode beat at
+//! * `sharding` — times the sharded-deployment pricing of
+//!   `sharding_scale_batch` (one GPT3-30B decode beat at
 //!   TP 1 / 2 / 4 / 8 over the default PCIe fabric) and writes
 //!   `BENCH_sharding.json`, recording each point's tokens/s alongside
 //!   its pricing wall-time;

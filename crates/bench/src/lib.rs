@@ -1,16 +1,14 @@
-//! Shared helpers for the benchmark harness.
+//! Workload fixtures for the `bench-snapshot` perf trajectories.
 //!
-//! Each bench target regenerates one paper table/figure: it prints the
-//! rows (so `cargo bench` output doubles as the reproduction artifact) and
-//! then measures the simulator kernels behind them with Criterion.
+//! Every fixture is deterministic (arithmetic lengths and arrivals, no
+//! RNG); `bench-snapshot` times it with `std::time` and records the
+//! medians in a `BENCH_*.json` snapshot. The paper's tables and figures
+//! are printed by the matching `neupims-sim` commands (`fig4` … `fig15`,
+//! `table4`, `table5`, `area`), not from here.
 
-use std::time::Duration;
-
-use criterion::Criterion;
 use neupims_core::backend::GpuRooflineBackend;
 use neupims_core::cluster::ClusterSpec;
 use neupims_core::device::{Device, DeviceMode};
-use neupims_core::experiments::ExperimentContext;
 use neupims_core::fleet::{policy_from_name, FleetRequest, FleetSim};
 use neupims_core::interconnect::PcieLink;
 use neupims_core::orchestrator::{
@@ -22,30 +20,14 @@ use neupims_core::sharding::ShardedBackend;
 use neupims_pim::calibrate;
 use neupims_types::{LlmConfig, NeuPimsConfig};
 
-/// Short Criterion configuration: the sims are deterministic, so a handful
-/// of samples suffices and the whole suite stays minutes-scale.
-pub fn short_criterion() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3))
-        .warm_up_time(Duration::from_millis(500))
-}
-
-/// Calibrated context with reduced workload sampling for bench iterations.
-pub fn bench_context() -> ExperimentContext {
-    ExperimentContext::table2()
-        .expect("Table 2 configuration calibrates")
-        .with_samples(2)
-}
-
 /// Requests submitted per replica by [`fleet_scale_sim`] — the
-/// `fleet_scale` bench and the `bench-snapshot fleet` trajectory both
-/// scale the workload with the fleet so per-replica load stays constant.
+/// `bench-snapshot fleet` trajectory scales the workload with the fleet
+/// so per-replica load stays constant.
 pub const FLEET_SCALE_REQUESTS_PER_REPLICA: usize = 1000;
 
-/// The warm batch priced by the `sharding_scale` bench and the
-/// `bench-snapshot sharding` trajectory: 64 decode requests deep into a
-/// ShareGPT-scale context, matching the `scaling` eval suite's shape.
+/// The warm batch priced by the `bench-snapshot sharding` trajectory:
+/// 64 decode requests deep into a ShareGPT-scale context, matching the
+/// `scaling` eval suite's shape.
 pub fn sharding_scale_batch() -> Vec<u64> {
     vec![376; 64]
 }
@@ -186,8 +168,8 @@ pub fn orchestrator_scale_sim(
 /// Builds the fleet-scale benchmark fixture: `replicas` GPU-roofline
 /// replicas behind round-robin dispatch with `requests` tiny requests at
 /// a fixed arrival cadence. Lengths and arrivals are arithmetic (no RNG),
-/// so every build is identical — the bench measures the engine, not the
-/// workload sampler. Requests are deliberately small: wall-clock is then
+/// so every build is identical — the trajectory measures the engine, not
+/// the workload sampler. Requests are deliberately small: wall-clock is then
 /// dominated by dispatch/advancement overhead, which is exactly what the
 /// event-driven spine is supposed to remove.
 pub fn fleet_scale_sim(replicas: usize, requests: usize) -> FleetSim<GpuRooflineBackend> {

@@ -194,6 +194,14 @@ impl Options {
             || self.min_replicas.is_some()
     }
 
+    /// The `--slo-ttft-ms` / `--slo-tpot-ms` targets in cycles.
+    fn slo(&self) -> SloTargets {
+        SloTargets {
+            ttft: (self.slo_ttft_ms * 1e6) as u64,
+            tpot: self.slo_tpot_ms * 1e6,
+        }
+    }
+
     /// Wraps `backend` in a [`ShardedBackend`] when `--tp`/`--pp` ask for
     /// a multi-chip deployment (collectives and stage hops priced by
     /// `--interconnect` / `--link-gbps`); otherwise returns it unchanged.
@@ -683,11 +691,7 @@ fn cmd_serve(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
         opts.cost_model,
     );
 
-    let slo = Some(SloTargets {
-        ttft: (opts.slo_ttft_ms * 1e6) as u64,
-        tpot: opts.slo_tpot_ms * 1e6,
-    });
-    let mut serving = sim.serving_with_slo(opts.max_batch.max(1), 0, slo);
+    let mut serving = sim.serving_with_slo(opts.max_batch.max(1), 0, Some(opts.slo()));
     let mut rng = StdRng::seed_from_u64(opts.seed.unwrap_or(DEFAULT_SERVE_SEED));
     let arrivals = arrival_stream(&mut rng, opts.rate, opts.requests);
     for (i, &at) in arrivals.iter().enumerate() {
@@ -763,44 +767,7 @@ fn cmd_fleet(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     if opts.orchestration_requested() {
         return cmd_orchestrate(ctx, opts);
     }
-    // Comma-separated backend and scheduler names are cycled over the
-    // replicas, so `--backend neupims,gpu --scheduler interleaved,lump
-    // --replicas 4` builds a heterogeneous fleet with per-replica
-    // schedulers.
-    let names: Vec<&str> = opts.backend.split(',').map(str::trim).collect();
-    let sched_names: Vec<&str> = opts.scheduler.split(',').map(str::trim).collect();
-    let slo = SloTargets {
-        ttft: (opts.slo_ttft_ms * 1e6) as u64,
-        tpot: opts.slo_tpot_ms * 1e6,
-    };
-    // With --tp/--pp each replica is its own sharded chip group: the
-    // wrapper supplies the parallelism, so the serving config runs the
-    // full layer stack with device-internal TP 1 underneath it.
-    let cfg = ServingConfig {
-        max_batch: opts.max_batch.max(1),
-        tp: if opts.sharding_requested() {
-            1
-        } else {
-            opts.model.parallelism.tp
-        },
-        layers: if opts.sharding_requested() {
-            opts.model.num_layers
-        } else {
-            opts.model.num_layers / opts.model.parallelism.pp
-        },
-        target_completions: 0,
-        slo: Some(slo),
-    };
-    let mut replicas = Vec::new();
-    for i in 0..opts.replicas {
-        let backend =
-            opts.maybe_sharded(ctx.backend_with_cost(names[i % names.len()], opts.cost_model)?)?;
-        let scheduler = scheduler_from_name(sched_names[i % sched_names.len()], opts.chunk_tokens)?;
-        replicas.push(
-            ServingSim::with_scheduler(backend, opts.model.clone(), cfg.clone(), scheduler)
-                .with_cost_model(opts.cost_model),
-        );
-    }
+    let replicas = fleet_replicas(ctx, opts)?;
     let labels: Vec<String> = replicas
         .iter()
         .map(|r| format!("{} ({})", r.backend().label(), r.scheduler_name()))
@@ -912,6 +879,52 @@ fn cmd_fleet(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     Ok(())
 }
 
+/// One `fleet` replica: a serving loop over any (possibly sharded) backend.
+type Replica = ServingSim<Box<dyn Backend>>;
+
+/// Builds the `fleet` replicas, shared by the bare and orchestrated
+/// paths. Comma-separated backend and scheduler names are cycled over
+/// the replicas, so `--backend neupims,gpu --scheduler interleaved,lump
+/// --replicas 4` builds a heterogeneous fleet with per-replica
+/// schedulers; every replica is priced by `--cost-model`.
+fn fleet_replicas(
+    ctx: &ExperimentContext,
+    opts: &Options,
+) -> Result<Vec<Replica>, Box<dyn std::error::Error>> {
+    let names: Vec<&str> = opts.backend.split(',').map(str::trim).collect();
+    let sched_names: Vec<&str> = opts.scheduler.split(',').map(str::trim).collect();
+    // With --tp/--pp each replica is its own sharded chip group: the
+    // wrapper supplies the parallelism, so the serving config runs the
+    // full layer stack with device-internal TP 1 underneath it.
+    let cfg = ServingConfig {
+        max_batch: opts.max_batch.max(1),
+        tp: if opts.sharding_requested() {
+            1
+        } else {
+            opts.model.parallelism.tp
+        },
+        layers: if opts.sharding_requested() {
+            opts.model.num_layers
+        } else {
+            opts.model.num_layers / opts.model.parallelism.pp
+        },
+        target_completions: 0,
+        slo: Some(opts.slo()),
+    };
+    (0..opts.replicas)
+        .map(|i| {
+            let backend = opts
+                .maybe_sharded(ctx.backend_with_cost(names[i % names.len()], opts.cost_model)?)?;
+            let scheduler =
+                scheduler_from_name(sched_names[i % sched_names.len()], opts.chunk_tokens)?;
+            Ok(
+                ServingSim::with_scheduler(backend, opts.model.clone(), cfg.clone(), scheduler)
+                    .with_cost_model(opts.cost_model),
+            )
+        })
+        .collect()
+}
+
 /// Parses a `--tenants` spec: `name:weight:priority[:ttft_ms:tpot_ms]`
 /// entries separated by commas. TTFT/TPOT default to the global
 /// `--slo-ttft-ms`/`--slo-tpot-ms` targets; weights are normalized to
@@ -964,20 +977,14 @@ fn parse_tenants(
 }
 
 /// The orchestrated fleet path (`fleet` with any of `--tenants`,
-/// `--autoscale`, `--router`, `--min-replicas`): the same replica
-/// construction as `cmd_fleet`, run through the capability-aware
-/// meta-orchestrator with per-tenant reporting and the goodput-per-cost
-/// bottom line.
+/// `--autoscale`, `--router`, `--min-replicas`): the replicas of
+/// `fleet_replicas`, run through the capability-aware meta-orchestrator
+/// with per-tenant reporting and the goodput-per-cost bottom line.
 fn cmd_orchestrate(
     ctx: &ExperimentContext,
     opts: &Options,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let names: Vec<&str> = opts.backend.split(',').map(str::trim).collect();
-    let sched_names: Vec<&str> = opts.scheduler.split(',').map(str::trim).collect();
-    let default_slo = SloTargets {
-        ttft: (opts.slo_ttft_ms * 1e6) as u64,
-        tpot: opts.slo_tpot_ms * 1e6,
-    };
+    let default_slo = opts.slo();
     let (tenants, weights) = match &opts.tenants {
         Some(spec) => parse_tenants(spec, default_slo)?,
         None => (
@@ -985,34 +992,14 @@ fn cmd_orchestrate(
             vec![1.0],
         ),
     };
-    let cfg = ServingConfig {
-        max_batch: opts.max_batch.max(1),
-        tp: if opts.sharding_requested() {
-            1
-        } else {
-            opts.model.parallelism.tp
-        },
-        layers: if opts.sharding_requested() {
-            opts.model.num_layers
-        } else {
-            opts.model.num_layers / opts.model.parallelism.pp
-        },
-        target_completions: 0,
-        slo: Some(default_slo),
-    };
     let memo = opts.replay_memo(true)?;
     let mut slots = Vec::new();
-    for i in 0..opts.replicas {
-        let backend =
-            opts.maybe_sharded(ctx.backend_with_cost(names[i % names.len()], opts.cost_model)?)?;
-        let scheduler = scheduler_from_name(sched_names[i % sched_names.len()], opts.chunk_tokens)?;
-        let mut slot =
-            ServingSim::with_scheduler(backend, opts.model.clone(), cfg.clone(), scheduler)
-                .with_cost_model(opts.cost_model)
-                .with_preemption(preemption_from_name(&opts.preemption)?)
-                .with_swap(SwapConfig {
-                    gb_per_sec: opts.swap_gbps,
-                });
+    for replica in fleet_replicas(ctx, opts)? {
+        let mut slot = replica
+            .with_preemption(preemption_from_name(&opts.preemption)?)
+            .with_swap(SwapConfig {
+                gb_per_sec: opts.swap_gbps,
+            });
         if let Some(memo) = &memo {
             slot = slot.with_trace_memo(memo);
         }
@@ -1300,7 +1287,7 @@ fn cmd_eval(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         cost_model: opts.cost_model_set.then_some(opts.cost_model),
         memo_cache: opts.memo_cache.as_ref().map(std::path::PathBuf::from),
     };
-    let report = neupims_eval::run_eval_with_opts(&suite, &overrides)?;
+    let report = neupims_eval::run_eval(&suite, &overrides)?;
     print!("{}", report.render());
     // The persistent-cache CI smoke job greps these lines: a rerun over
     // a populated --memo-cache must report a 100.0% disk hit rate.

@@ -1,10 +1,10 @@
 //! The evaluation harness: one function per paper table/figure.
 //!
 //! Every function returns plain row structs so the CLI can print
-//! paper-style tables, the Criterion benches can regenerate the series,
-//! and the integration tests can assert the comparative *shapes* (who
-//! wins, by roughly what factor, where crossovers fall). The experiment
-//! inventory mirrors DESIGN.md:
+//! paper-style tables (`neupims-sim fig4` … `table5`, `area`) and the
+//! integration tests can assert the comparative *shapes* (who wins, by
+//! roughly what factor, where crossovers fall). The experiment inventory
+//! mirrors DESIGN.md:
 //!
 //! | Function | Paper artifact |
 //! |---|---|

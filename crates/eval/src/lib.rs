@@ -36,10 +36,7 @@ pub mod suites;
 pub mod toml;
 
 pub use report::EvalReport;
-pub use runner::{
-    run_scenario, run_scenario_with_jobs, run_scenario_with_opts, run_suite, run_suite_with_jobs,
-    run_suite_with_opts, EvalError, EvalOverrides, Metrics, ScenarioRun,
-};
+pub use runner::{run_scenario, run_suite, EvalError, EvalOverrides, Metrics, ScenarioRun};
 pub use scorer::{score_suite, verdict, CheckResult, CheckStatus};
 pub use spec::{
     Bound, CompareSpec, Expectation, ScenarioKind, ScenarioSpec, Severity, SpecError, SuiteSpec,
@@ -48,53 +45,20 @@ pub use spec::{
 pub use store::{resolve_rev, store_report, unix_seconds};
 pub use suites::{builtin_description, builtin_suite, load_suite, SUITE_NAMES};
 
-/// Runs a parsed suite end to end: execute, score, and assemble the
-/// [`EvalReport`] (not yet persisted — callers decide where, see
-/// [`store::store_report`]).
+/// Runs a parsed suite end to end under `opts` (seed, serving worker
+/// count, cost-model override, persistent replay cache; the default is
+/// no override): execute, score, and assemble the [`EvalReport`] (not
+/// yet persisted — callers decide where, see [`store::store_report`]).
+/// The worker count never changes results — only wall-clock — so
+/// reports produced under any `jobs` compare bit-for-bit given the same
+/// seed.
 ///
 /// # Errors
 ///
 /// Returns [`EvalError`] when a scenario fails to *run*; golden-check
 /// violations are recorded in the report's checks, not raised as errors.
-pub fn run_eval(suite: &SuiteSpec, seed_override: Option<u64>) -> Result<EvalReport, EvalError> {
-    run_eval_with_jobs(suite, seed_override, None)
-}
-
-/// [`run_eval`] with an explicit serving worker count (the CLI's
-/// `--jobs`; see [`runner::run_suite_with_jobs`]). The worker count
-/// never changes results — only wall-clock — so reports produced under
-/// any `jobs` compare bit-for-bit given the same seed.
-///
-/// # Errors
-///
-/// See [`run_eval`].
-pub fn run_eval_with_jobs(
-    suite: &SuiteSpec,
-    seed_override: Option<u64>,
-    jobs: Option<usize>,
-) -> Result<EvalReport, EvalError> {
-    run_eval_with_opts(
-        suite,
-        &EvalOverrides {
-            seed: seed_override,
-            jobs,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`run_eval`] with the full set of [`EvalOverrides`]: seed, serving
-/// worker count, cost-model override, and the persistent replay cache
-/// directory (the CLI's `--memo-cache`) trace-priced scenarios share.
-///
-/// # Errors
-///
-/// See [`run_eval`].
-pub fn run_eval_with_opts(
-    suite: &SuiteSpec,
-    opts: &EvalOverrides,
-) -> Result<EvalReport, EvalError> {
-    let scenarios = run_suite_with_opts(suite, opts)?;
+pub fn run_eval(suite: &SuiteSpec, opts: &EvalOverrides) -> Result<EvalReport, EvalError> {
+    let scenarios = run_suite(suite, opts)?;
     let checks = score_suite(suite, &scenarios);
     Ok(EvalReport {
         suite: suite.name.clone(),
@@ -131,7 +95,11 @@ min = 1.0
 "#,
         )
         .unwrap();
-        let report = run_eval(&suite, Some(1)).unwrap();
+        let opts = EvalOverrides {
+            seed: Some(1),
+            ..Default::default()
+        };
+        let report = run_eval(&suite, &opts).unwrap();
         assert_eq!(report.suite, "inline");
         assert_eq!(report.seed_override, Some(1));
         assert_eq!(report.verdict(), CheckStatus::Pass);

@@ -135,111 +135,38 @@ impl ScenarioRun {
     }
 }
 
-/// Executes every scenario of a suite, in file order.
+/// Executes every scenario of a suite, in file order, under `opts`
+/// ([`EvalOverrides::default`] runs each scenario exactly as spec'd).
 ///
-/// `seed_override` (the CLI's `--seed`) replaces each scenario's spec'd
+/// `opts.seed` (the CLI's `--seed`) replaces each scenario's spec'd
 /// workload/sampling seed, keeping everything else fixed — two runs with
-/// the same override are bit-identical.
-///
-/// # Errors
-///
-/// Returns [`EvalError`] when calibration, backend construction, or a
-/// simulation run fails. A scenario that *runs* but misses its golden
-/// expectations is not an error here — that's the scorer's verdict.
-pub fn run_suite(
-    suite: &SuiteSpec,
-    seed_override: Option<u64>,
-) -> Result<Vec<ScenarioRun>, EvalError> {
-    run_suite_with_jobs(suite, seed_override, None)
-}
-
-/// [`run_suite`] with an explicit worker count for serving scenarios
-/// (the CLI's `--jobs`).
-///
-/// `jobs` bounds how many replica streams each scenario's [`FleetSim`]
-/// advances concurrently between dispatch points; `None` keeps the
-/// fleet's default ([`std::thread::available_parallelism`]). Results are
+/// the same override are bit-identical. `opts.jobs` bounds how many
+/// replica streams each serving scenario's [`FleetSim`] advances
+/// concurrently between dispatch points; `None` keeps the fleet's
+/// default ([`std::thread::available_parallelism`]). Results are
 /// bit-identical for every worker count — replicas share no state
 /// between dispatch barriers — so `--seed` + `--jobs` determinism holds
 /// regardless of `N`.
 ///
 /// # Errors
 ///
-/// See [`run_suite`].
-pub fn run_suite_with_jobs(
-    suite: &SuiteSpec,
-    seed_override: Option<u64>,
-    jobs: Option<usize>,
-) -> Result<Vec<ScenarioRun>, EvalError> {
-    run_suite_with_opts(
-        suite,
-        &EvalOverrides {
-            seed: seed_override,
-            jobs,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`run_suite`] with the full set of [`EvalOverrides`] (seed, worker
-/// count, cost model, persistent replay cache).
-///
-/// # Errors
-///
-/// See [`run_suite`].
-pub fn run_suite_with_opts(
-    suite: &SuiteSpec,
-    opts: &EvalOverrides,
-) -> Result<Vec<ScenarioRun>, EvalError> {
+/// Returns [`EvalError`] when calibration, backend construction, or a
+/// simulation run fails. A scenario that *runs* but misses its golden
+/// expectations is not an error here — that's the scorer's verdict.
+pub fn run_suite(suite: &SuiteSpec, opts: &EvalOverrides) -> Result<Vec<ScenarioRun>, EvalError> {
     suite
         .scenarios
         .iter()
-        .map(|s| run_scenario_with_opts(s, opts))
+        .map(|s| run_scenario(s, opts))
         .collect()
 }
 
-/// Executes one scenario.
+/// Executes one scenario under `opts` (see [`run_suite`]).
 ///
 /// # Errors
 ///
 /// See [`run_suite`].
-pub fn run_scenario(
-    spec: &ScenarioSpec,
-    seed_override: Option<u64>,
-) -> Result<ScenarioRun, EvalError> {
-    run_scenario_with_jobs(spec, seed_override, None)
-}
-
-/// [`run_scenario`] with an explicit serving worker count (see
-/// [`run_suite_with_jobs`]).
-///
-/// # Errors
-///
-/// See [`run_suite`].
-pub fn run_scenario_with_jobs(
-    spec: &ScenarioSpec,
-    seed_override: Option<u64>,
-    jobs: Option<usize>,
-) -> Result<ScenarioRun, EvalError> {
-    run_scenario_with_opts(
-        spec,
-        &EvalOverrides {
-            seed: seed_override,
-            jobs,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`run_scenario`] with the full set of [`EvalOverrides`].
-///
-/// # Errors
-///
-/// See [`run_suite`].
-pub fn run_scenario_with_opts(
-    spec: &ScenarioSpec,
-    opts: &EvalOverrides,
-) -> Result<ScenarioRun, EvalError> {
+pub fn run_scenario(spec: &ScenarioSpec, opts: &EvalOverrides) -> Result<ScenarioRun, EvalError> {
     let ctx = context_for(&spec.system)?;
     let seed = opts.seed.unwrap_or(spec.seed);
     let cost_model = opts.cost_model_for(&spec.system);
@@ -628,6 +555,14 @@ mod tests {
     use super::*;
     use crate::spec::SuiteSpec;
 
+    fn overrides(seed: Option<u64>, jobs: Option<usize>) -> EvalOverrides {
+        EvalOverrides {
+            seed,
+            jobs,
+            ..Default::default()
+        }
+    }
+
     const TINY: &str = r#"
 [suite]
 name = "tiny"
@@ -650,7 +585,7 @@ samples = 1
     #[test]
     fn serving_and_throughput_scenarios_run() {
         let suite = SuiteSpec::parse(TINY).unwrap();
-        let runs = run_suite(&suite, None).unwrap();
+        let runs = run_suite(&suite, &EvalOverrides::default()).unwrap();
         assert_eq!(runs.len(), 2);
         let serve = &runs[0];
         assert_eq!(serve.kind, "serving");
@@ -665,10 +600,10 @@ samples = 1
     #[test]
     fn seed_override_is_deterministic() {
         let suite = SuiteSpec::parse(TINY).unwrap();
-        let a = run_suite(&suite, Some(99)).unwrap();
-        let b = run_suite(&suite, Some(99)).unwrap();
+        let a = run_suite(&suite, &overrides(Some(99), None)).unwrap();
+        let b = run_suite(&suite, &overrides(Some(99), None)).unwrap();
         assert_eq!(a, b);
-        let c = run_suite(&suite, Some(100)).unwrap();
+        let c = run_suite(&suite, &overrides(Some(100), None)).unwrap();
         // A different seed shifts arrivals and lengths; at least one
         // serving metric should move.
         assert_ne!(a[0].metrics, c[0].metrics);
@@ -677,9 +612,9 @@ samples = 1
     #[test]
     fn jobs_count_never_changes_results() {
         let suite = SuiteSpec::parse(TINY).unwrap();
-        let serial = run_suite_with_jobs(&suite, Some(42), Some(1)).unwrap();
+        let serial = run_suite(&suite, &overrides(Some(42), Some(1))).unwrap();
         for jobs in [2, 4, 16] {
-            let parallel = run_suite_with_jobs(&suite, Some(42), Some(jobs)).unwrap();
+            let parallel = run_suite(&suite, &overrides(Some(42), Some(jobs))).unwrap();
             assert_eq!(serial, parallel, "--jobs {jobs} changed eval results");
         }
     }
@@ -700,7 +635,7 @@ samples = 1
         };
         let suite = SuiteSpec::parse(TINY).unwrap();
 
-        let cold = run_suite_with_opts(&suite, &opts(true)).unwrap();
+        let cold = run_suite(&suite, &opts(true)).unwrap();
         let serve = &cold[0];
         assert!(
             serve.metric("memo_hit_rate").is_some(),
@@ -712,7 +647,7 @@ samples = 1
             "first run is cold"
         );
 
-        let warm = run_suite_with_opts(&suite, &opts(true)).unwrap();
+        let warm = run_suite(&suite, &opts(true)).unwrap();
         assert_eq!(
             warm[0].metric("disk_hit_rate"),
             Some(1.0),
@@ -732,7 +667,7 @@ samples = 1
             m.remove("row_buffer_hit_rate");
             m
         };
-        let uncached = run_suite_with_opts(&suite, &opts(false)).unwrap();
+        let uncached = run_suite(&suite, &opts(false)).unwrap();
         for (a, b) in warm.iter().zip(&uncached) {
             assert_eq!(strip(&a.metrics), strip(&b.metrics), "{}", a.name);
         }
@@ -773,7 +708,7 @@ input = ["uniform", 256, 512]
 output = ["fixed", 8]
 "#;
         let suite = SuiteSpec::parse(text).unwrap();
-        let runs = run_suite(&suite, None).unwrap();
+        let runs = run_suite(&suite, &EvalOverrides::default()).unwrap();
         let run = &runs[0];
         assert!(run.metric("goodput_per_cost").unwrap() >= 0.0);
         assert!(run.metric("replica_mcycles_on").unwrap() > 0.0);
@@ -791,8 +726,8 @@ output = ["fixed", 8]
                 + run.metric("tenant_batch_submitted").unwrap(),
             12.0
         );
-        let serial = run_suite_with_jobs(&suite, Some(8), Some(1)).unwrap();
-        let parallel = run_suite_with_jobs(&suite, Some(8), Some(4)).unwrap();
+        let serial = run_suite(&suite, &overrides(Some(8), Some(1))).unwrap();
+        let parallel = run_suite(&suite, &overrides(Some(8), Some(4))).unwrap();
         assert_eq!(serial, parallel, "--jobs changed orchestrated results");
     }
 
@@ -813,7 +748,7 @@ output-cap = 32
 rate = 6.0
 "#;
         let suite = SuiteSpec::parse(text).unwrap();
-        let runs = run_suite(&suite, None).unwrap();
+        let runs = run_suite(&suite, &EvalOverrides::default()).unwrap();
         assert!(runs[0].metric("peak_kv_utilization").unwrap() > 0.0);
     }
 }

@@ -3,15 +3,23 @@
 //! bit-identical, and reports persist with the spec'd JSON shape.
 
 use neupims_eval::{
-    load_suite, run_eval, run_suite, score_suite, store_report, verdict, CheckStatus, EvalReport,
-    SuiteSpec, SUITE_NAMES,
+    load_suite, run_eval, run_suite, score_suite, store_report, verdict, CheckStatus,
+    EvalOverrides, EvalReport, SuiteSpec, SUITE_NAMES,
 };
+
+/// Overrides that only pin the workload/sampling seed (the CLI's `--seed`).
+fn seeded(seed: u64) -> EvalOverrides {
+    EvalOverrides {
+        seed: Some(seed),
+        ..Default::default()
+    }
+}
 
 /// The CI gate: the shipped smoke suite passes every golden check.
 #[test]
 fn smoke_suite_is_green() {
     let suite = load_suite("smoke").expect("smoke suite loads");
-    let report = run_eval(&suite, None).expect("smoke suite runs");
+    let report = run_eval(&suite, &EvalOverrides::default()).expect("smoke suite runs");
     let (_, _, fail) = report.counts();
     assert_eq!(
         fail,
@@ -26,7 +34,7 @@ fn smoke_suite_is_green() {
 #[test]
 fn fig12_suite_reproduces_the_throughput_ordering() {
     let suite = load_suite("fig12").expect("fig12 suite loads");
-    let runs = run_suite(&suite, None).expect("fig12 suite runs");
+    let runs = run_suite(&suite, &EvalOverrides::default()).expect("fig12 suite runs");
     let tps = |name: &str| {
         runs.iter()
             .find(|r| r.name == name)
@@ -60,7 +68,8 @@ fn fig12_suite_reproduces_the_throughput_ordering() {
 fn all_shipped_suites_are_green() {
     for name in SUITE_NAMES {
         let suite = load_suite(name).unwrap_or_else(|e| panic!("suite {name}: {e}"));
-        let report = run_eval(&suite, None).unwrap_or_else(|e| panic!("suite {name}: {e}"));
+        let report = run_eval(&suite, &EvalOverrides::default())
+            .unwrap_or_else(|e| panic!("suite {name}: {e}"));
         let (_, _, fail) = report.counts();
         assert_eq!(fail, 0, "suite {name} failed:\n{}", report.render());
     }
@@ -71,10 +80,10 @@ fn all_shipped_suites_are_green() {
 #[test]
 fn seeded_eval_runs_are_deterministic() {
     let suite = load_suite("smoke").expect("smoke suite loads");
-    let a = run_suite(&suite, Some(0xD5)).unwrap();
-    let b = run_suite(&suite, Some(0xD5)).unwrap();
+    let a = run_suite(&suite, &seeded(0xD5)).unwrap();
+    let b = run_suite(&suite, &seeded(0xD5)).unwrap();
     assert_eq!(a, b, "same seed must reproduce bit-identical metrics");
-    let c = run_suite(&suite, Some(0xD6)).unwrap();
+    let c = run_suite(&suite, &seeded(0xD6)).unwrap();
     let serving = |runs: &[neupims_eval::ScenarioRun]| {
         runs.iter()
             .find(|r| r.kind == "serving")
@@ -111,7 +120,7 @@ min = 1.0
 "#,
     )
     .unwrap();
-    let mut report: EvalReport = run_eval(&suite, Some(3)).unwrap();
+    let mut report: EvalReport = run_eval(&suite, &seeded(3)).unwrap();
     report.rev = "testrev".to_owned();
     let dir = std::env::temp_dir().join(format!("neupims-eval-it-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -160,7 +169,7 @@ max = 0.5
 severity = "warn"
 "#;
     let suite = SuiteSpec::parse(text).unwrap();
-    let report = run_eval(&suite, None).unwrap();
+    let report = run_eval(&suite, &EvalOverrides::default()).unwrap();
     assert_eq!(report.verdict(), CheckStatus::Fail);
     let (pass, warn, fail) = report.counts();
     assert_eq!((pass, warn, fail), (0, 1, 1));

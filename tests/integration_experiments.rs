@@ -3,7 +3,7 @@
 
 use neupims_core::experiments::{
     area_overhead, fig12_throughput, fig13_ablation, fig15_transpim, fig4_roofline, fig5_gpu_util,
-    table4_utilization, table5_power, ExperimentContext,
+    fig6_layer_util, table4_utilization, table5_power, ExperimentContext,
 };
 use neupims_types::LlmConfig;
 use neupims_workload::Dataset;
@@ -105,4 +105,36 @@ fn tables_and_motivation_artifacts() {
     assert_eq!(fig5_gpu_util().len(), 8);
     // Area overhead ~= the paper's 3.11%.
     assert!((area_overhead() - 0.0311).abs() < 0.001);
+}
+
+/// Figure 6: the naive NPU+PIM device serializes its stages, so each
+/// unit is busy only in its own stages and idles in the other's. The
+/// whole-iteration utilization therefore sits below what either unit
+/// reaches inside its stages — the paper's motivation for interleaving.
+#[test]
+fn fig6_naive_device_serializes_its_stages() {
+    let rows = fig6_layer_util(&ctx()).unwrap();
+    let stages: Vec<&str> = rows.iter().map(|r| r.stage).collect();
+    assert_eq!(
+        stages,
+        [
+            "QKV Generation",
+            "Multi-Head Attention",
+            "Projection + FFNs",
+            "Total"
+        ]
+    );
+    for r in &rows {
+        assert!((0.0..=1.0).contains(&r.npu), "{r:?}");
+        assert!((0.0..=1.0).contains(&r.pim), "{r:?}");
+    }
+    let (qkv, mha, ffn, total) = (&rows[0], &rows[1], &rows[2], &rows[3]);
+    // PIM idles through the GEMM stages; the NPU idles through MHA.
+    assert_eq!(qkv.pim, 0.0);
+    assert_eq!(ffn.pim, 0.0);
+    assert_eq!(mha.npu, 0.0);
+    assert!(qkv.npu > 0.0 && ffn.npu > 0.0 && mha.pim > 0.0);
+    // Serialization: the totals fall below the per-stage peaks.
+    assert!(total.npu < qkv.npu && total.npu < ffn.npu, "{total:?}");
+    assert!(total.pim < mha.pim, "{total:?}");
 }
