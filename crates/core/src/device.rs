@@ -42,10 +42,12 @@ use neupims_llm::compiler::{compile_block, CompiledBlock};
 use neupims_npu::VectorCost;
 use neupims_pim::{calibrate, PimCalibration};
 use neupims_sched::{
-    assign_min_load, assign_round_robin, AnalyticCostModel, CostModelKind, MhaCostModel,
-    MhaLatencyEstimator, TraceDrivenCostModel, TraceMemo,
+    assign_min_load_costs, assign_round_robin, partition_sub_batches, AnalyticCostModel,
+    CostModelKind, MhaCostModel, MhaLatencyEstimator, TraceDrivenCostModel, TraceMemo,
 };
-use neupims_types::{config::InterconnectConfig, LlmConfig, NeuPimsConfig, Phase, SimError};
+use neupims_types::{
+    config::InterconnectConfig, ChannelId, LlmConfig, NeuPimsConfig, Phase, RequestId, SimError,
+};
 
 use crate::metrics::IterationBreakdown;
 
@@ -139,6 +141,36 @@ pub struct Device {
     /// its clones) hands out, so distinct command streams are simulated
     /// once per context-length bucket device-wide.
     trace_memo: TraceMemo,
+    /// [`TraceDrivenCostModel::fingerprint`] of `cfg`, hashed once here
+    /// rather than per decode iteration.
+    fingerprint: u64,
+}
+
+/// A decode batch priced once: request `i` has context `seq_lens[i]`, MHA
+/// cost `costs[i]` under the device's active cost model, and home channel
+/// `assignment[i]`. The serial arm, the SBI arm and both sub-batches read
+/// these instead of estimating again.
+#[derive(Debug)]
+struct PricedBatch {
+    /// K/V layout the costs were estimated for.
+    geo: KvGeometry,
+    seq_lens: Vec<u64>,
+    costs: Vec<f64>,
+    assignment: Vec<ChannelId>,
+}
+
+impl PricedBatch {
+    /// The sub-batch of the requests `ids` (indices into this batch), in
+    /// `ids` order.
+    fn pick(&self, ids: &[RequestId]) -> PricedBatch {
+        let idx = || ids.iter().map(|r| r.0 as usize);
+        PricedBatch {
+            geo: self.geo,
+            seq_lens: idx().map(|i| self.seq_lens[i]).collect(),
+            costs: idx().map(|i| self.costs[i]).collect(),
+            assignment: idx().map(|i| self.assignment[i]).collect(),
+        }
+    }
 }
 
 /// Per-sub-batch stage costs, all in cycles or bytes (per decoder layer).
@@ -208,6 +240,7 @@ impl Device {
             mode,
             cost: CostModelKind::Analytic,
             trace_memo: TraceMemo::new(),
+            fingerprint: TraceDrivenCostModel::fingerprint(&cfg),
         }
     }
 
@@ -308,11 +341,12 @@ impl Device {
         }
         Some(match kind {
             CostModelKind::Analytic => Box::new(AnalyticCostModel::new(self.estimator(model, tp))),
-            CostModelKind::TraceDriven => Box::new(TraceDrivenCostModel::with_memo(
+            CostModelKind::TraceDriven => Box::new(TraceDrivenCostModel::with_fingerprint(
                 &self.cfg,
                 KvGeometry::with_tp(model, &self.cfg.mem, tp),
                 self.mode.dual_row_buffer(),
                 self.trace_memo.clone(),
+                self.fingerprint,
             )),
         })
     }
@@ -339,14 +373,13 @@ impl Device {
         &self,
         model: &LlmConfig,
         tp: u32,
-        seq_lens: &[u64],
-        assignment: &[neupims_types::ChannelId],
-        estimator: &dyn MhaCostModel,
+        batch: &PricedBatch,
     ) -> Result<SubCosts, SimError> {
+        let seq_lens = &batch.seq_lens;
         let cb: CompiledBlock =
             compile_block(&self.cfg.npu, model, tp, seq_lens, Phase::Generation)?;
         let es = model.dtype.size_bytes();
-        let geo = estimator.geometry();
+        let geo = &batch.geo;
         let m = seq_lens.len() as u64;
         let vc = VectorCost::new(&self.cfg.npu);
 
@@ -354,8 +387,8 @@ impl Device {
         let mut pim_loads = vec![0.0f64; channels];
         let mut turnaround = vec![0.0f64; channels];
         let bus_per_channel = self.cfg.mem.bus_bytes_per_cycle as f64;
-        for (&seq, ch) in seq_lens.iter().zip(assignment) {
-            pim_loads[ch.index()] += estimator.estimate(seq);
+        for ((&seq, &cost), ch) in seq_lens.iter().zip(&batch.costs).zip(&batch.assignment) {
+            pim_loads[ch.index()] += cost;
             // Blocked-mode per-head turnaround: drain logits to the vector
             // units, softmax, write them back (GWRITE), plus a row-cycle of
             // resynchronization — all serial with the channel's GEMV work.
@@ -440,28 +473,35 @@ impl Device {
         (d_qkv + d_mha + d_pf, bus)
     }
 
-    fn assign(&self, seqs: &[u64], estimator: &dyn MhaCostModel) -> Vec<neupims_types::ChannelId> {
-        match self.mode {
+    /// Prices `seq_lens` once: one estimate per request, then one channel
+    /// assignment (Algorithm 2 over those costs under GMLBP, round-robin
+    /// otherwise).
+    fn price(&self, seq_lens: &[u64], estimator: &dyn MhaCostModel) -> PricedBatch {
+        let costs: Vec<f64> = seq_lens.iter().map(|&s| estimator.estimate(s)).collect();
+        let channels = self.cfg.mem.channels;
+        let assignment = match self.mode {
             DeviceMode::NeuPims { gmlbp: true, .. } => {
-                assign_min_load(seqs, self.cfg.mem.channels, estimator)
+                assign_min_load_costs(seq_lens, &costs, channels)
             }
-            _ => assign_round_robin(seqs, self.cfg.mem.channels),
+            _ => assign_round_robin(seq_lens, channels),
+        };
+        PricedBatch {
+            geo: *estimator.geometry(),
+            seq_lens: seq_lens.to_vec(),
+            costs,
+            assignment,
         }
     }
 
-    fn fill_common(
-        &self,
-        out: &mut IterationBreakdown,
-        estimator: &dyn MhaCostModel,
-        seq_lens: &[u64],
-        layers: u64,
-    ) {
+    /// Fills the PIM tile, GWRITE and in-bank byte counts, which depend
+    /// only on the batch, not on the arm that priced it.
+    fn fill_common(&self, out: &mut IterationBreakdown, batch: &PricedBatch, layers: u64) {
         if !self.mode.uses_pim() {
             return;
         }
-        let geo = estimator.geometry();
-        let tiles: u64 = seq_lens.iter().map(|&q| geo.mha_tiles(q)).sum();
-        let gwrites: u64 = seq_lens.iter().map(|&q| geo.mha_gwrites(q)).sum();
+        let geo = &batch.geo;
+        let tiles: u64 = batch.seq_lens.iter().map(|&q| geo.mha_tiles(q)).sum();
+        let gwrites: u64 = batch.seq_lens.iter().map(|&q| geo.mha_gwrites(q)).sum();
         out.pim_tiles = tiles * layers;
         out.pim_gwrites = gwrites * layers;
         out.pim_inbank_bytes =
@@ -473,14 +513,12 @@ impl Device {
         model: &LlmConfig,
         tp: u32,
         layers: u64,
-        seq_lens: &[u64],
-        estimator: &dyn MhaCostModel,
+        batch: &PricedBatch,
     ) -> Result<IterationBreakdown, SimError> {
-        let assignment = self.assign(seq_lens, estimator);
-        let s = self.sub_costs(model, tp, seq_lens, &assignment, estimator)?;
+        let s = self.sub_costs(model, tp, batch)?;
         let (layer_cycles, layer_bus) = self.serial_layer(&s);
         let mut out = IterationBreakdown {
-            tokens: seq_lens.len() as u64,
+            tokens: batch.seq_lens.len() as u64,
             pim_busy: vec![0; self.cfg.mem.channels as usize],
             total_cycles: layer_cycles * layers,
             npu_flops: s.flops * layers,
@@ -495,7 +533,6 @@ impl Device {
                 *b = (*load * layers as f64) as u64;
             }
         }
-        self.fill_common(&mut out, estimator, seq_lens, layers);
         Ok(out)
     }
 
@@ -504,31 +541,21 @@ impl Device {
         model: &LlmConfig,
         tp: u32,
         layers: u64,
-        seq_lens: &[u64],
-        estimator: &dyn MhaCostModel,
+        batch: &PricedBatch,
     ) -> Result<IterationBreakdown, SimError> {
         // Algorithm 3 operates on per-channel request lists; reconstruct
         // them from the assignment, split, then cost each sub-batch.
-        let assignment = self.assign(seq_lens, estimator);
-        let mut per_channel: Vec<Vec<neupims_types::RequestId>> =
-            vec![Vec::new(); self.cfg.mem.channels as usize];
-        for (i, ch) in assignment.iter().enumerate() {
-            per_channel[ch.index()].push(neupims_types::RequestId::new(i as u32));
+        let mut per_channel: Vec<Vec<RequestId>> = vec![Vec::new(); self.cfg.mem.channels as usize];
+        for (i, ch) in batch.assignment.iter().enumerate() {
+            per_channel[ch.index()].push(RequestId::new(i as u32));
         }
-        let sb = neupims_sched::partition_sub_batches(&per_channel);
-        let pick = |ids: &[neupims_types::RequestId]| -> (Vec<u64>, Vec<neupims_types::ChannelId>) {
-            let seqs = ids.iter().map(|r| seq_lens[r.0 as usize]).collect();
-            let chans = ids.iter().map(|r| assignment[r.0 as usize]).collect();
-            (seqs, chans)
-        };
-        let (seqs_a, chan_a) = pick(&sb.sb1);
-        let (seqs_b, chan_b) = pick(&sb.sb2);
-        if seqs_a.is_empty() || seqs_b.is_empty() {
+        let sb = partition_sub_batches(&per_channel);
+        if sb.sb1.is_empty() || sb.sb2.is_empty() {
             // Degenerate split; fall back to serial execution.
-            return self.serial_iteration(model, tp, layers, seq_lens, estimator);
+            return self.serial_iteration(model, tp, layers, batch);
         }
-        let a = self.sub_costs(model, tp, &seqs_a, &chan_a, estimator)?;
-        let b = self.sub_costs(model, tp, &seqs_b, &chan_b, estimator)?;
+        let a = self.sub_costs(model, tp, &batch.pick(&sb.sb1))?;
+        let b = self.sub_costs(model, tp, &batch.pick(&sb.sb2))?;
 
         // Steady-state bottleneck law. Same-stage pairs run adjacently on
         // the NPU, so the second of a pair reuses the SPM-resident slice of
@@ -568,7 +595,7 @@ impl Device {
         let total = steady * layers.saturating_sub(1).max(1) + fill;
 
         let mut out = IterationBreakdown {
-            tokens: seq_lens.len() as u64,
+            tokens: batch.seq_lens.len() as u64,
             pim_busy: vec![0; self.cfg.mem.channels as usize],
             total_cycles: total,
             npu_flops: (a.flops + b.flops) * layers,
@@ -581,7 +608,6 @@ impl Device {
         for (i, busy) in out.pim_busy.iter_mut().enumerate() {
             *busy = ((a.pim_loads[i] + b.pim_loads[i]) * layers as f64) as u64;
         }
-        self.fill_common(&mut out, estimator, seq_lens, layers);
         Ok(out)
     }
 
@@ -651,27 +677,28 @@ impl Device {
         if layers == 0 {
             return Err(SimError::InvalidShape("zero resident layers".into()));
         }
-        let estimator = self.active_cost_model(model, tp);
-        let estimator: &dyn MhaCostModel = &*estimator;
+        let batch = self.price(seq_lens, &*self.active_cost_model(model, tp));
         let layers = layers as u64;
 
         let policy = match self.mode {
             DeviceMode::NeuPims { sbi, .. } if seq_lens.len() >= 2 => sbi,
             _ => SbiPolicy::Off,
         };
-        match policy {
-            SbiPolicy::Off => self.serial_iteration(model, tp, layers, seq_lens, estimator),
-            SbiPolicy::Always => self.sbi_iteration(model, tp, layers, seq_lens, estimator),
+        let mut out = match policy {
+            SbiPolicy::Off => self.serial_iteration(model, tp, layers, &batch)?,
+            SbiPolicy::Always => self.sbi_iteration(model, tp, layers, &batch)?,
             SbiPolicy::Adaptive => {
-                let serial = self.serial_iteration(model, tp, layers, seq_lens, estimator)?;
-                let sbi = self.sbi_iteration(model, tp, layers, seq_lens, estimator)?;
-                Ok(if sbi.total_cycles < serial.total_cycles {
+                let serial = self.serial_iteration(model, tp, layers, &batch)?;
+                let sbi = self.sbi_iteration(model, tp, layers, &batch)?;
+                if sbi.total_cycles < serial.total_cycles {
                     sbi
                 } else {
                     serial
-                })
+                }
             }
-        }
+        };
+        self.fill_common(&mut out, &batch, layers);
+        Ok(out)
     }
 }
 

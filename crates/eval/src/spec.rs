@@ -314,7 +314,9 @@ impl SuiteSpec {
     /// unknown names, or compare blocks referencing missing scenarios.
     pub fn parse(text: &str) -> Result<Self, SpecError> {
         let root = parse_toml(text).map_err(|e| SpecError(e.to_string()))?;
+        known_keys(&root, "the top level", &["suite", "scenario", "compare"])?;
         let suite = table(&root, "suite")?;
+        known_keys(suite, "[suite]", &["name", "description"])?;
         let name = string(suite, "name")?;
         let description = opt_string(suite, "description")?.unwrap_or_default();
 
@@ -360,6 +362,19 @@ impl SuiteSpec {
 }
 
 // ------------------------------------------------------------ field access
+
+/// Rejects the first key of `t` outside `known`: a typo such as
+/// `chanels = 0`, or a table the schema does not have, would otherwise be
+/// dropped and the scenario run with defaults.
+fn known_keys(t: &Table, table: &str, known: &[&str]) -> Result<(), SpecError> {
+    match t.keys().find(|k| !known.contains(&k.as_str())) {
+        None => Ok(()),
+        Some(key) => serr(format!(
+            "unknown key {key:?} in {table} (expected one of [{}])",
+            known.join(", ")
+        )),
+    }
+}
 
 fn table<'a>(t: &'a Table, key: &str) -> Result<&'a Table, SpecError> {
     match t.get(key) {
@@ -473,7 +488,62 @@ pub fn dataset_from_name(name: &str) -> Result<Dataset, SpecError> {
     }
 }
 
+/// Keys of a `[[scenario]]` table: the system, the throughput sampling,
+/// the serving workload, and the nested arrival/tenant/expect tables.
+const SCENARIO_KEYS: &[&str] = &[
+    "name",
+    "kind",
+    "dataset",
+    "model",
+    "cost-model",
+    "backend",
+    "scheduler",
+    "chunk-tokens",
+    "preemption",
+    "replicas",
+    "dispatch",
+    "max-batch",
+    "swap-gbps",
+    "slo-ttft-ms",
+    "slo-tpot-ms",
+    "channels",
+    "kv-mib-per-channel",
+    "tp",
+    "pp",
+    "interconnect",
+    "link-gbps",
+    "autoscale",
+    "router",
+    "min-replicas",
+    "seed",
+    "batch",
+    "samples",
+    "requests",
+    "rate",
+    "arrival",
+    "tenant",
+    "output-cap",
+    "expect",
+];
+
+/// Keys of a `[[scenario.expect]]` table: the metric and its bound.
+const EXPECT_KEYS: &[&str] = &["metric", "value", "tol", "min", "max", "severity"];
+
+/// Keys of a `[[compare]]` table: the ratio's two sides and its bound.
+const COMPARE_KEYS: &[&str] = &[
+    "name",
+    "metric",
+    "numerator",
+    "denominator",
+    "value",
+    "tol",
+    "min",
+    "max",
+    "severity",
+];
+
 fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
+    known_keys(t, "[[scenario]]", SCENARIO_KEYS)?;
     let name = string(t, "name")?;
     let kind = match opt_string(t, "kind")?.as_deref() {
         None | Some("serving") => ScenarioKind::Serving,
@@ -584,6 +654,18 @@ fn parse_workload(t: &Table, dataset: Dataset, seed: u64) -> Result<WorkloadSpec
 }
 
 fn parse_arrival(a: &Table) -> Result<ArrivalProcess, SpecError> {
+    known_keys(
+        a,
+        "[scenario.arrival]",
+        &[
+            "process",
+            "rate",
+            "burst-size",
+            "amplitude",
+            "period-mcycles",
+            "alpha",
+        ],
+    )?;
     let rate = opt_f64(a, "rate")?.unwrap_or(3.0);
     if rate <= 0.0 {
         return serr("arrival rate must be positive");
@@ -674,6 +756,19 @@ fn parse_length(v: &Value, key: &str) -> Result<LengthDistribution, SpecError> {
 }
 
 fn parse_tenant(t: &Table) -> Result<(TenantClass, TenantPolicy), SpecError> {
+    known_keys(
+        t,
+        "[[scenario.tenant]]",
+        &[
+            "name",
+            "weight",
+            "input",
+            "output",
+            "priority",
+            "slo-ttft-ms",
+            "slo-tpot-ms",
+        ],
+    )?;
     let name = string(t, "name")?;
     let weight = opt_f64(t, "weight")?.unwrap_or(1.0);
     if weight <= 0.0 {
@@ -741,6 +836,7 @@ fn parse_bound(t: &Table) -> Result<Bound, SpecError> {
 }
 
 fn parse_expect(t: &Table) -> Result<Expectation, SpecError> {
+    known_keys(t, "[[scenario.expect]]", EXPECT_KEYS)?;
     Ok(Expectation {
         metric: string(t, "metric")?,
         bound: parse_bound(t)?,
@@ -749,6 +845,7 @@ fn parse_expect(t: &Table) -> Result<Expectation, SpecError> {
 }
 
 fn parse_compare(t: &Table) -> Result<CompareSpec, SpecError> {
+    known_keys(t, "[[compare]]", COMPARE_KEYS)?;
     Ok(CompareSpec {
         name: string(t, "name")?,
         metric: opt_string(t, "metric")?.unwrap_or_else(|| "tokens_per_sec".into()),
@@ -957,6 +1054,49 @@ output = ["fixed", 8]
         assert!(SuiteSpec::parse(&bad).unwrap_err().0.contains("router"));
         let bad = text.replace("priority = 220", "priority = 999");
         assert!(SuiteSpec::parse(&bad).unwrap_err().0.contains("255"));
+    }
+
+    #[test]
+    fn unknown_keys_are_errors_naming_key_and_table() {
+        let cases = [
+            ("channels = 4", "chanels = 4", "\"chanels\" in [[scenario]]"),
+            (
+                "[suite]\n",
+                "[system]\nbackend = \"gpu\"\n\n[suite]\n",
+                "\"system\" in the top level",
+            ),
+            (
+                "description = \"exercises",
+                "descripton = \"exercises",
+                "\"descripton\" in [suite]",
+            ),
+            (
+                "burst-size = 8",
+                "burst_size = 8",
+                "\"burst_size\" in [scenario.arrival]",
+            ),
+            (
+                "weight = 3.0",
+                "wieght = 3.0",
+                "\"wieght\" in [[scenario.tenant]]",
+            ),
+            (
+                "tol = 0.2",
+                "tolerance = 0.2",
+                "\"tolerance\" in [[scenario.expect]]",
+            ),
+            (
+                "numerator = ",
+                "numerater = ",
+                "\"numerater\" in [[compare]]",
+            ),
+        ];
+        for (from, to, want) in cases {
+            let bad = SUITE.replacen(from, to, 1);
+            assert_ne!(bad, SUITE, "{from:?} not in the fixture");
+            let e = SuiteSpec::parse(&bad).unwrap_err();
+            assert!(e.0.contains(&format!("unknown key {want}")), "{want}: {e}");
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@ use crate::cost::MhaCostModel;
 ///
 /// Generic over [`MhaCostModel`], so the balance target can be the
 /// Algorithm 1 closed form ([`MhaLatencyEstimator`](crate::estimator::MhaLatencyEstimator)
-/// implements the trait directly) or the trace-driven cycle model.
+/// implements the trait directly) or the trace-driven cycle model. Prices
+/// each request once and delegates to [`assign_min_load_costs`].
 ///
 /// Returns one [`ChannelId`] per input request, index-aligned.
 ///
@@ -28,7 +29,24 @@ pub fn assign_min_load<C: MhaCostModel + ?Sized>(
     channels: u32,
     estimator: &C,
 ) -> Vec<ChannelId> {
+    let costs: Vec<f64> = seq_lens.iter().map(|&s| estimator.estimate(s)).collect();
+    assign_min_load_costs(seq_lens, &costs, channels)
+}
+
+/// Algorithm 2 over precomputed per-request costs: `costs[i]` is request
+/// `i`'s estimated MHA load, so a caller that already priced its batch
+/// (decode pricing reuses the same costs for channel loads and sub-batch
+/// splits) packs it without estimating again. Requests are taken in
+/// descending `seq_lens` order (LPT), each onto the least-loaded channel.
+///
+/// Returns one [`ChannelId`] per input request, index-aligned.
+///
+/// # Panics
+///
+/// Panics if `channels == 0` or the slices differ in length.
+pub fn assign_min_load_costs(seq_lens: &[u64], costs: &[f64], channels: u32) -> Vec<ChannelId> {
     assert!(channels > 0, "at least one channel required");
+    assert_eq!(seq_lens.len(), costs.len(), "one cost per request");
     let mut loads = vec![0.0f64; channels as usize];
     // Sort indices by descending length (LPT order).
     let mut order: Vec<usize> = (0..seq_lens.len()).collect();
@@ -42,7 +60,7 @@ pub fn assign_min_load<C: MhaCostModel + ?Sized>(
             .min_by(|a, b| a.1.partial_cmp(b.1).expect("loads are finite"))
             .expect("non-empty loads");
         assignment[i] = ChannelId::new(min_idx as u32);
-        loads[min_idx] += estimator.estimate(seq_lens[i]);
+        loads[min_idx] += costs[i];
     }
     assignment
 }

@@ -689,22 +689,45 @@ impl TraceDrivenCostModel {
         dual_row_buffer: bool,
         memo: TraceMemo,
     ) -> Self {
-        // The replay depends on the whole hardware description, not just
-        // the geometry; fingerprint it into the memo key so one memo can
-        // be shared across models without cross-config collisions. The
-        // config structs are plain numeric records, so their Debug forms
-        // are faithful fingerprint material.
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        format!("{:?}{:?}{:?}", cfg.mem, cfg.timing, cfg.pim).hash(&mut h);
+        Self::with_fingerprint(cfg, geometry, dual_row_buffer, memo, Self::fingerprint(cfg))
+    }
+
+    /// Like [`Self::with_memo`], with `cfg`'s [`Self::fingerprint`]
+    /// computed by the caller — devices hash their hardware once instead
+    /// of once per model they hand out.
+    pub fn with_fingerprint(
+        cfg: &NeuPimsConfig,
+        geometry: KvGeometry,
+        dual_row_buffer: bool,
+        memo: TraceMemo,
+        fingerprint: u64,
+    ) -> Self {
+        debug_assert_eq!(
+            fingerprint,
+            Self::fingerprint(cfg),
+            "fingerprint of another config"
+        );
         Self {
             geometry,
             mem: cfg.mem,
             timing: cfg.timing,
             pim: cfg.pim,
             dual: dual_row_buffer,
-            config_fingerprint: h.finish(),
+            config_fingerprint: fingerprint,
             memo,
         }
+    }
+
+    /// The hardware fingerprint every memo key of a model built for `cfg`
+    /// carries. The replay depends on the whole hardware description, not
+    /// just the geometry, so one memo can be shared across models without
+    /// cross-config collisions. The config structs are plain numeric
+    /// records, so their Debug forms are faithful fingerprint material.
+    /// Persisted cache file names embed this value.
+    pub fn fingerprint(cfg: &NeuPimsConfig) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        format!("{:?}{:?}{:?}", cfg.mem, cfg.timing, cfg.pim).hash(&mut h);
+        h.finish()
     }
 
     /// Whether the model simulates dual-row-buffer (composite-command)

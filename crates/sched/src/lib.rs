@@ -41,7 +41,7 @@ pub mod estimator;
 pub mod partition;
 pub mod pool;
 
-pub use binpack::{assign_min_load, assign_round_robin, channel_loads};
+pub use binpack::{assign_min_load, assign_min_load_costs, assign_round_robin, channel_loads};
 pub use cost::{
     calibration_drift, AnalyticCostModel, CostModelKind, DriftPoint, DriftReport, MhaCostModel,
     TraceDrivenCostModel, TraceMemo, TraceSnapshot, COST_MODEL_NAMES, DEFAULT_DRIFT_TOLERANCE,

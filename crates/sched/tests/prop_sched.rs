@@ -1,18 +1,31 @@
 //! Property tests on the scheduling algorithms: bin-packing quality
 //! bounds, partition invariants, and pool conservation.
 
+use std::sync::OnceLock;
+
 use proptest::prelude::*;
 
 use neupims_kvcache::KvGeometry;
 use neupims_sched::{
-    assign_min_load, assign_round_robin, channel_loads, partition_sub_batches, MhaLatencyEstimator,
-    RequestPool,
+    assign_min_load, assign_min_load_costs, assign_round_robin, channel_loads,
+    partition_sub_batches, MhaCostModel, MhaLatencyEstimator, RequestPool, TraceDrivenCostModel,
 };
-use neupims_types::{LlmConfig, MemConfig, Request, RequestId};
+use neupims_types::{LlmConfig, MemConfig, NeuPimsConfig, Request, RequestId};
 
 fn estimator() -> MhaLatencyEstimator {
     let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &MemConfig::table2());
     MhaLatencyEstimator::new(geo, 280.0, 50.0)
+}
+
+/// One trace-driven model on the Table 2 hardware, built once so its
+/// replay memo persists across proptest cases.
+fn trace_model() -> &'static TraceDrivenCostModel {
+    static MODEL: OnceLock<TraceDrivenCostModel> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let cfg = NeuPimsConfig::table2();
+        let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &cfg.mem);
+        TraceDrivenCostModel::new(&cfg, geo, true)
+    })
 }
 
 proptest! {
@@ -54,6 +67,28 @@ proptest! {
         for assign in [assign_min_load(&seqs, channels, &e), assign_round_robin(&seqs, channels)] {
             prop_assert_eq!(assign.len(), seqs.len());
             prop_assert!(assign.iter().all(|c| c.0 < channels));
+        }
+    }
+
+    /// Algorithm 2 over a cost slice is the same packing as over a cost
+    /// model: fed each request's `estimate(seq)`, `assign_min_load_costs`
+    /// returns `assign_min_load`'s assignment, for the closed form and the
+    /// trace-driven model alike.
+    #[test]
+    fn cost_slice_packing_matches_model_packing(
+        seqs in prop::collection::vec(1u64..4096, 0..160),
+        channels in 1u32..33,
+    ) {
+        let analytic = estimator();
+        let models: [&dyn MhaCostModel; 2] = [&analytic, trace_model()];
+        for model in models {
+            let costs: Vec<f64> = seqs.iter().map(|&s| model.estimate(s)).collect();
+            prop_assert_eq!(
+                assign_min_load_costs(&seqs, &costs, channels),
+                assign_min_load(&seqs, channels, model),
+                "{}",
+                model.name()
+            );
         }
     }
 

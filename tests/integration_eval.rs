@@ -174,3 +174,32 @@ severity = "warn"
     let (pass, warn, fail) = report.counts();
     assert_eq!((pass, warn, fail), (0, 1, 1));
 }
+
+/// A typo'd key in an on-disk suite is a spec error naming the key, its
+/// table and the file — not a run with the misspelled setting defaulted.
+#[test]
+fn unknown_suite_keys_fail_to_load() {
+    let dir = std::env::temp_dir().join(format!("neupims-eval-keys-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let shipped = neupims_eval::builtin_suite("pressure").unwrap();
+    for (name, text, want) in [
+        (
+            "typo.toml",
+            shipped.replacen("channels = 4", "chanels = 0", 1),
+            "unknown key \"chanels\" in [[scenario]]",
+        ),
+        (
+            "system.toml",
+            format!("[system]\nbackend = \"gpu\"\n\n{shipped}"),
+            "unknown key \"system\" in the top level",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let e = load_suite(path.to_str().unwrap()).unwrap_err();
+        let msg = e.to_string();
+        assert!(matches!(e, neupims_eval::EvalError::Spec(_)), "{msg}");
+        assert!(msg.contains(want) && msg.contains(name), "{msg}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
