@@ -397,6 +397,73 @@ struct Parked {
     bytes: u64,
 }
 
+/// One live request's serving state (Figure 7's request pool table
+/// entry): created at [`ServingSim::submit`], removed once on completion
+/// or any drop, and cleared of its page-bound fields by [`Self::park`].
+#[derive(Debug, Clone, Copy, Default)]
+struct ReqState {
+    /// KV home channel while the request holds pages.
+    home: Option<ChannelId>,
+    /// End of its lump-prefill or restore delay; decode waits for it.
+    ready_at: Option<Cycle>,
+    /// Chunked-prefill progress while the prompt encodes on-device.
+    prefill: Option<PrefillProgress>,
+    /// End of the first decode iteration it joined.
+    first_token: Option<Cycle>,
+    /// Admission sequence number (the LIFO victim axis).
+    admit_seq: u64,
+    /// End of its last decode iteration since admission or restore (the
+    /// LRU victim axis).
+    last_decoded: Cycle,
+    /// Times preempted (reported in its record).
+    preemptions: u32,
+}
+
+impl ReqState {
+    /// Whether the prompt is fully encoded by `now`.
+    fn decode_ready(&self, now: Cycle) -> bool {
+        self.prefill.is_none() && self.ready_at.is_none_or(|t| t <= now)
+    }
+
+    /// Applies a prefill `charge` at `now`: a lump delay `d` gates decode
+    /// until `now + d` and is returned (the caller schedules its event);
+    /// chunked encoding queues the `prompt` for on-device chunks.
+    fn charge(
+        &mut self,
+        id: RequestId,
+        charge: PrefillCharge,
+        prompt: u64,
+        now: Cycle,
+    ) -> Option<Cycle> {
+        match charge {
+            PrefillCharge::Delay(d) => {
+                self.ready_at = Some(now + d);
+                Some(d)
+            }
+            PrefillCharge::Chunked => {
+                self.prefill = Some(PrefillProgress {
+                    id,
+                    done: 0,
+                    total: prompt,
+                    charged: 0,
+                });
+                None
+            }
+        }
+    }
+
+    /// Preemption: the first token, admission order and preemption count
+    /// (plus this one) survive; the page-bound fields reset.
+    fn park(&mut self) {
+        *self = Self {
+            first_token: self.first_token,
+            admit_seq: self.admit_seq,
+            preemptions: self.preemptions + 1,
+            ..Self::default()
+        };
+    }
+}
+
 /// An iteration-level serving simulation over one simulated system.
 ///
 /// Generic over [`Backend`], so the same Orca-style scheduler, request
@@ -416,19 +483,9 @@ pub struct ServingSim<B: Backend = Device> {
     cost_model: Option<Box<dyn MhaCostModel>>,
     pool: RequestPool,
     kv: PagedKvCache,
-    home_channel: HashMap<RequestId, ChannelId>,
-    arrivals: HashMap<RequestId, Cycle>,
-    /// Lump-prefill completion time of each admitted request; it joins
-    /// decode iterations only once the clock reaches this.
-    ready_at: HashMap<RequestId, Cycle>,
-    /// Chunked-prefill progress of each admitted request still encoding
-    /// its prompt (tokens done, prompt total, cycles charged so far);
-    /// removed once the prompt is fully processed.
-    prefill_left: HashMap<RequestId, (u64, u64, Cycle)>,
-    /// Chunked-mode admission order, so prefill chunks are planned FIFO.
-    prefill_order: Vec<RequestId>,
-    /// End of the first decode iteration each request participated in.
-    first_token: HashMap<RequestId, Cycle>,
+    /// One record per request submitted and not yet completed or dropped.
+    live: HashMap<RequestId, ReqState>,
+    /// Every id ever submitted (duplicate rejection outlives the request).
     seen: HashSet<RequestId>,
     now: Cycle,
     records: Vec<RequestMetrics>,
@@ -445,13 +502,8 @@ pub struct ServingSim<B: Backend = Device> {
     swap: SwapConfig,
     /// Preempted requests awaiting restoration, FIFO.
     parked: VecDeque<Parked>,
-    /// Monotone admission sequence numbers (the LIFO victim axis).
-    admit_seq: HashMap<RequestId, u64>,
+    /// Next admission sequence number.
     admit_counter: u64,
-    /// Last decode-iteration end per running request (the LRU victim axis).
-    last_decoded: HashMap<RequestId, Cycle>,
-    /// Preemption count per in-flight request (reported in its record).
-    preempt_counts: HashMap<RequestId, u32>,
     preempt_events: u64,
     restore_events: u64,
     stall_cycles: Cycle,
@@ -505,13 +557,8 @@ impl<B: Backend> ServingSim<B> {
             cost_model,
             pool: RequestPool::new(cfg.max_batch),
             kv,
-            home_channel: Default::default(),
-            arrivals: Default::default(),
-            ready_at: Default::default(),
-            prefill_left: Default::default(),
-            prefill_order: Vec::new(),
-            first_token: Default::default(),
-            seen: Default::default(),
+            live: HashMap::new(),
+            seen: HashSet::new(),
             now: 0,
             records: Vec::new(),
             totals: IterationBreakdown::default(),
@@ -524,10 +571,7 @@ impl<B: Backend> ServingSim<B> {
             preemption: Box::new(DropOnly),
             swap: SwapConfig::default(),
             parked: VecDeque::new(),
-            admit_seq: Default::default(),
             admit_counter: 0,
-            last_decoded: Default::default(),
-            preempt_counts: Default::default(),
             preempt_events: 0,
             restore_events: 0,
             stall_cycles: 0,
@@ -655,7 +699,7 @@ impl<B: Backend> ServingSim<B> {
     /// [`StepEvent::Finished`] without mutating any state, so callers
     /// (the fleet's event-driven merge) can skip stepping it entirely.
     pub fn is_idle(&self) -> bool {
-        self.pool.waiting_len() == 0 && self.pool.running().is_empty() && self.parked.is_empty()
+        self.live.is_empty()
     }
 
     /// Requests waiting for admission.
@@ -743,12 +787,12 @@ impl<B: Backend> ServingSim<B> {
         if !self.seen.insert(id) {
             return Err(SimError::DuplicateRequest(id));
         }
-        let req = Request::new(id, input_len, output_len, arrival);
-        self.arrivals.insert(req.id, arrival);
-        self.events.push(arrival, SimEvent::Arrival(req.id));
+        self.live.insert(id, ReqState::default());
+        self.events.push(arrival, SimEvent::Arrival(id));
         self.queued_pages += self.kv.pages_for(input_len as u64);
         self.submitted += 1;
-        self.pool.submit(req);
+        self.pool
+            .submit(Request::new(id, input_len, output_len, arrival));
         Ok(())
     }
 
@@ -771,41 +815,39 @@ impl<B: Backend> ServingSim<B> {
         self.pool
             .running()
             .iter()
-            .filter(|r| self.home_channel.get(&r.id) == Some(&channel))
-            .filter(|r| {
-                self.ready_at.get(&r.id).is_none_or(|&t| t <= self.now)
-                    && !self.prefill_left.contains_key(&r.id)
-            })
             .filter_map(|r| {
+                let st = self.live.get(&r.id)?;
+                if st.home != Some(channel) || !st.decode_ready(self.now) {
+                    return None;
+                }
                 let seq = self.kv.seq_len(r.id).ok()?;
                 Some(VictimCandidate {
                     id: r.id,
                     pages: self.kv.pages_for(seq),
                     seq_len: seq,
-                    admitted_seq: self.admit_seq.get(&r.id).copied().unwrap_or(0),
-                    last_decoded: self.last_decoded.get(&r.id).copied().unwrap_or(0),
+                    admitted_seq: st.admit_seq,
+                    last_decoded: st.last_decoded,
                 })
             })
             .collect()
     }
 
+    /// The live record of `id`.
+    fn state(&mut self, id: RequestId) -> Result<&mut ReqState, SimError> {
+        self.live.get_mut(&id).ok_or(SimError::UnknownRequest(id))
+    }
+
     /// Evicts `id`'s KV pages and parks the request for later
-    /// restoration, clearing every per-request structure the serving loop
-    /// keys on it (in particular its chunked-prefill progress, so
-    /// schedulers never plan — or hide — prefill work for a request they
-    /// no longer hold).
+    /// restoration, clearing its record's page-bound state (in particular
+    /// its chunked-prefill progress, so schedulers never plan — or hide —
+    /// prefill work for a request they no longer hold).
     fn park(&mut self, id: RequestId) -> Result<(), SimError> {
         let receipt = self.kv.preempt(id)?;
         let req = self
             .pool
             .preempt_running(id)
             .ok_or(SimError::UnknownRequest(id))?;
-        self.home_channel.remove(&id);
-        self.ready_at.remove(&id);
-        self.prefill_left.remove(&id);
-        self.prefill_order.retain(|x| *x != id);
-        self.last_decoded.remove(&id);
-        *self.preempt_counts.entry(id).or_insert(0) += 1;
+        self.state(id)?.park();
         self.preempt_events += 1;
         self.parked_pages += self.kv.pages_for(req.seq_len() as u64);
         self.parked_remaining += req.remaining() as u64;
@@ -824,15 +866,7 @@ impl<B: Backend> ServingSim<B> {
         self.pool
             .preempt_running(id)
             .ok_or(SimError::UnknownRequest(id))?;
-        self.home_channel.remove(&id);
-        self.ready_at.remove(&id);
-        self.prefill_left.remove(&id);
-        self.prefill_order.retain(|x| *x != id);
-        self.last_decoded.remove(&id);
-        self.first_token.remove(&id);
-        self.arrivals.remove(&id);
-        self.admit_seq.remove(&id);
-        self.preempt_counts.remove(&id);
+        self.live.remove(&id);
         self.dropped += 1;
         Ok(())
     }
@@ -855,10 +889,7 @@ impl<B: Backend> ServingSim<B> {
                 self.parked.pop_front().expect("peeked");
                 self.parked_pages -= pages;
                 self.parked_remaining -= remaining;
-                self.arrivals.remove(&id);
-                self.first_token.remove(&id);
-                self.admit_seq.remove(&id);
-                self.preempt_counts.remove(&id);
+                self.live.remove(&id);
                 self.dropped += 1;
                 return Ok(Some(StepEvent::Dropped(id)));
             }
@@ -873,56 +904,34 @@ impl<B: Backend> ServingSim<B> {
             self.parked_pages -= pages;
             self.parked_remaining -= remaining;
             self.kv.restore(id, ch, seq)?;
-            self.home_channel.insert(id, ch);
             self.stall_cycles += self.now.saturating_sub(p.at);
             self.restore_events += 1;
             let mode = self
                 .preemption
                 .restore_mode()
                 .expect("parked requests only exist under preempting policies");
-            match mode {
-                RestoreMode::Recompute => {
-                    let prompt = seq.max(1);
-                    let charge = self
-                        .scheduler
-                        .admission_charge(
-                            &self.backend,
-                            &self.model,
-                            self.cfg.tp,
-                            self.cfg.layers,
-                            prompt,
-                        )
-                        .map_err(SimError::from)?;
-                    match charge {
-                        PrefillCharge::Delay(d) => {
-                            self.ready_at.insert(id, self.now + d);
-                            self.events
-                                .push(self.now + d, SimEvent::RestoreComplete(id));
-                            self.restore_overhead += d;
-                        }
-                        PrefillCharge::Chunked => {
-                            self.prefill_left.insert(id, (0, prompt, 0));
-                            self.prefill_order.push(id);
-                            self.restore_overhead += self
-                                .backend
-                                .prefill_cycles(
-                                    &self.model,
-                                    self.cfg.tp,
-                                    self.cfg.layers,
-                                    &[prompt],
-                                )
-                                .map_err(SimError::from)?;
-                        }
-                    }
+            // Recompute re-pays the prompt over the grown context; swap is
+            // a plain delay for the link transfer.
+            let (now, prompt, tp, layers) = (self.now, seq.max(1), self.cfg.tp, self.cfg.layers);
+            let charge = match mode {
+                RestoreMode::Recompute => self
+                    .scheduler
+                    .admission_charge(&self.backend, &self.model, tp, layers, prompt)
+                    .map_err(SimError::from)?,
+                RestoreMode::Swap => PrefillCharge::Delay(self.swap.transfer_cycles(p.bytes)),
+            };
+            let st = self.state(id)?;
+            st.home = Some(ch);
+            self.restore_overhead += match st.charge(id, charge, prompt, now) {
+                Some(d) => {
+                    self.events.push(now + d, SimEvent::RestoreComplete(id));
+                    d
                 }
-                RestoreMode::Swap => {
-                    let d = self.swap.transfer_cycles(p.bytes);
-                    self.ready_at.insert(id, self.now + d);
-                    self.events
-                        .push(self.now + d, SimEvent::RestoreComplete(id));
-                    self.restore_overhead += d;
-                }
-            }
+                None => self
+                    .backend
+                    .prefill_cycles(&self.model, tp, layers, &[prompt])
+                    .map_err(SimError::from)?,
+            };
             let resumed = self.pool.resume(p.req);
             debug_assert!(resumed, "batch cap was checked before restoring");
         }
@@ -939,8 +948,25 @@ impl<B: Backend> ServingSim<B> {
     ///
     /// Propagates backend pricing errors; KV out-of-memory at admission is
     /// handled by deferring (or, when hopeless, dropping) the request, not
-    /// by failing the run.
+    /// by failing the run. Returns [`SimError::Scheduling`] if request
+    /// conservation breaks: every submitted request must be completed,
+    /// dropped, or live — and every live one waiting, running, or parked.
     pub fn step(&mut self) -> Result<StepEvent, SimError> {
+        let event = self.advance()?;
+        let (submitted, live) = (self.submitted, self.live.len());
+        let settled = self.pool.completed() + self.dropped;
+        let held = self.pool.waiting_len() + self.pool.running().len() + self.parked.len();
+        if submitted != settled + live as u64 || live != held {
+            return Err(SimError::Scheduling(format!(
+                "request conservation broken: {submitted} submitted vs {settled} completed or \
+                 dropped + {live} live; {live} live vs {held} waiting, running or parked"
+            )));
+        }
+        Ok(event)
+    }
+
+    /// The body of [`Self::step`], before its conservation check.
+    fn advance(&mut self) -> Result<StepEvent, SimError> {
         self.steps += 1;
         if self.cfg.target_completions > 0 && self.pool.completed() >= self.cfg.target_completions {
             return Ok(StepEvent::Finished);
@@ -965,10 +991,8 @@ impl<B: Backend> ServingSim<B> {
             let kv = &mut self.kv;
             let next_channel = &mut self.next_channel;
             let channels = self.backend.mem_config().channels;
-            let home = &mut self.home_channel;
-            let ready_at = &mut self.ready_at;
-            let prefill_left = &mut self.prefill_left;
-            let prefill_order = &mut self.prefill_order;
+            let live = &mut self.live;
+            let admit_counter = &mut self.admit_counter;
             let events = &mut self.events;
             let queued_pages = &mut self.queued_pages;
             let scheduler = &self.scheduler;
@@ -977,7 +1001,7 @@ impl<B: Backend> ServingSim<B> {
             let (tp, layers) = (self.cfg.tp, self.cfg.layers);
             let now = self.now;
             let mut prefill_err: Option<SimError> = None;
-            let admitted = self.pool.admit(now, |req| {
+            self.pool.admit(now, |req| {
                 let ch = ChannelId::new(*next_channel % channels);
                 match kv.admit(req.id, ch, req.input_len as u64) {
                     Ok(()) => {
@@ -985,19 +1009,12 @@ impl<B: Backend> ServingSim<B> {
                         match scheduler.admission_charge(backend, model, tp, layers, prompt) {
                             Ok(charge) => {
                                 *next_channel += 1;
-                                home.insert(req.id, ch);
-                                match charge {
-                                    PrefillCharge::Delay(prefill) => {
-                                        ready_at.insert(req.id, now + prefill);
-                                        events.push(
-                                            now + prefill,
-                                            SimEvent::IterationComplete(req.id),
-                                        );
-                                    }
-                                    PrefillCharge::Chunked => {
-                                        prefill_left.insert(req.id, (0, prompt, 0));
-                                        prefill_order.push(req.id);
-                                    }
+                                let st = live.entry(req.id).or_default();
+                                st.home = Some(ch);
+                                st.admit_seq = *admit_counter;
+                                *admit_counter += 1;
+                                if let Some(d) = st.charge(req.id, charge, prompt, now) {
+                                    events.push(now + d, SimEvent::IterationComplete(req.id));
                                 }
                                 *queued_pages -= kv.pages_for(req.input_len as u64);
                                 true
@@ -1017,11 +1034,6 @@ impl<B: Backend> ServingSim<B> {
             });
             if let Some(e) = prefill_err {
                 return Err(e);
-            }
-            for id in admitted {
-                let seq = self.admit_counter;
-                self.admit_seq.insert(id, seq);
-                self.admit_counter += 1;
             }
 
             // Admission-triggered preemption: only when the head is
@@ -1067,39 +1079,29 @@ impl<B: Backend> ServingSim<B> {
             // Retry admission against the freed pages.
         }
 
-        // The decode-ready sub-batch: admitted requests whose prompt is
-        // fully encoded (lump delay elapsed and no chunk outstanding).
-        let ready: Vec<(RequestId, u64)> = self
-            .pool
-            .running()
-            .iter()
-            .filter(|r| {
-                self.ready_at.get(&r.id).is_none_or(|&t| t <= self.now)
-                    && !self.prefill_left.contains_key(&r.id)
-            })
-            .map(|r| (r.id, r.seq_len() as u64))
-            .collect();
-
-        // Requests still encoding their prompt on-device, in admission
-        // (FIFO) order — the chunked schedulers' work queue.
-        self.prefill_order
-            .retain(|id| self.prefill_left.contains_key(id));
-        let prefilling: Vec<PrefillProgress> = self
-            .prefill_order
-            .iter()
-            .map(|id| {
-                let &(done, total, charged) = self
-                    .prefill_left
-                    .get(id)
-                    .expect("prefill_order retained to live entries");
-                PrefillProgress {
-                    id: *id,
-                    done,
-                    total,
-                    charged,
+        // One pass over the running batch, which admissions and restores
+        // both append to, so it is in admission (FIFO) order: the
+        // decode-ready sub-batch (prompt fully encoded), grouped by home
+        // channel too, and the requests still encoding their prompt
+        // on-device — the chunked schedulers' work queue.
+        let mut ready: Vec<(RequestId, u64)> = Vec::new();
+        let mut prefilling: Vec<PrefillProgress> = Vec::new();
+        let mut per_channel: Vec<Vec<RequestId>> =
+            vec![Vec::new(); self.backend.mem_config().channels as usize];
+        for r in self.pool.running() {
+            match self.live.get(&r.id) {
+                Some(ReqState {
+                    prefill: Some(p), ..
+                }) => prefilling.push(*p),
+                Some(st) if st.decode_ready(self.now) => {
+                    ready.push((r.id, r.seq_len() as u64));
+                    if let Some(ch) = st.home {
+                        per_channel[ch.index()].push(r.id);
+                    }
                 }
-            })
-            .collect();
+                _ => {}
+            }
+        }
 
         if ready.is_empty() && prefilling.is_empty() {
             // The event queue holds every future arrival, lump-prefill
@@ -1147,7 +1149,7 @@ impl<B: Backend> ServingSim<B> {
                     .pool
                     .drop_head_waiting()
                     .expect("non-empty waiting queue");
-                self.arrivals.remove(&req.id);
+                self.live.remove(&req.id);
                 self.queued_pages -= self.kv.pages_for(req.input_len as u64);
                 self.dropped += 1;
                 return Ok(StepEvent::Dropped(req.id));
@@ -1163,13 +1165,6 @@ impl<B: Backend> ServingSim<B> {
         // One iteration, planned and priced by the scheduler policy: the
         // decode sub-batch plus (under chunked policies) prefill chunks,
         // possibly overlapped NPU/PIM-style.
-        let per_channel_count = self.backend.mem_config().channels as usize;
-        let mut per_channel: Vec<Vec<RequestId>> = vec![Vec::new(); per_channel_count];
-        for &(id, _) in &ready {
-            if let Some(ch) = self.home_channel.get(&id) {
-                per_channel[ch.index()].push(id);
-            }
-        }
         let demand = IterationDemand {
             decode: &ready,
             prefill: &prefilling,
@@ -1205,11 +1200,13 @@ impl<B: Backend> ServingSim<B> {
         // Chunked-prefill progress: fully encoded prompts leave the
         // prefill queue and join decode at the next boundary.
         for chunk in &plan.prefill {
-            if let Some(entry) = self.prefill_left.get_mut(&chunk.id) {
-                entry.0 = (entry.0 + chunk.tokens).min(entry.1);
-                entry.2 = chunk.charged_total;
-                if entry.0 >= entry.1 {
-                    self.prefill_left.remove(&chunk.id);
+            if let Some(st) = self.live.get_mut(&chunk.id) {
+                if let Some(p) = &mut st.prefill {
+                    p.done = (p.done + chunk.tokens).min(p.total);
+                    p.charged = chunk.charged_total;
+                    if p.done >= p.total {
+                        st.prefill = None;
+                    }
                 }
             }
         }
@@ -1221,8 +1218,8 @@ impl<B: Backend> ServingSim<B> {
         // grower itself) and park them for restoration.
         let mut decoded: Vec<RequestId> = Vec::with_capacity(plan.decode.len());
         for &id in &plan.decode {
-            if self.pool.get_running(id).is_err() {
-                continue; // preempted as a victim earlier in this loop
+            if self.live.get(&id).is_none_or(|st| st.home.is_none()) {
+                continue; // parked or shed earlier in this loop
             }
             match self.kv.append_token(id) {
                 Ok(_) => decoded.push(id),
@@ -1282,35 +1279,30 @@ impl<B: Backend> ServingSim<B> {
         // Only requests that grew a token *and* are still running advance
         // (a victim parked after its append re-generates that token after
         // restoration).
-        let ready_ids: HashSet<RequestId> = decoded
-            .into_iter()
-            .filter(|id| self.pool.get_running(*id).is_ok())
-            .collect();
-        for &id in &ready_ids {
-            self.first_token.entry(id).or_insert(self.now);
-            self.last_decoded.insert(id, self.now);
+        let mut advanced: HashSet<RequestId> = HashSet::with_capacity(decoded.len());
+        for id in decoded {
+            if let Some(st) = self.live.get_mut(&id).filter(|st| st.home.is_some()) {
+                st.first_token.get_or_insert(self.now);
+                st.last_decoded = self.now;
+                advanced.insert(id);
+            }
         }
         for done in self
             .pool
-            .complete_iteration_where(|r| ready_ids.contains(&r.id))
+            .complete_iteration_where(|r| advanced.contains(&r.id))
         {
             self.kv.release(done.id)?;
-            self.home_channel.remove(&done.id);
-            self.ready_at.remove(&done.id);
-            self.admit_seq.remove(&done.id);
-            self.last_decoded.remove(&done.id);
-            let arrival = self.arrivals.remove(&done.id).unwrap_or(done.arrival);
-            let first = self
-                .first_token
-                .remove(&done.id)
-                .expect("completed request produced a first token");
+            // Every advanced request holds a first token; a missing record
+            // fails the conservation check in `step`.
+            let st = self.live.remove(&done.id).unwrap_or_default();
+            let first = st.first_token.unwrap_or(self.now);
             self.records.push(RequestMetrics {
                 id: done.id,
-                arrival,
-                ttft: first.saturating_sub(arrival),
-                latency: self.now.saturating_sub(arrival),
+                arrival: done.arrival,
+                ttft: first.saturating_sub(done.arrival),
+                latency: self.now.saturating_sub(done.arrival),
                 tokens: done.output_len as u64,
-                preemptions: self.preempt_counts.remove(&done.id).unwrap_or(0),
+                preemptions: st.preemptions,
             });
         }
         Ok(StepEvent::Iteration)
@@ -1840,6 +1832,61 @@ mod tests {
         // generated-so-far plus outstanding covers the full trace.
         let generated = s.outcome().tokens;
         assert_eq!(s.outstanding_tokens() + generated, 8 * 200);
+    }
+
+    /// Steps `s` to the end, asserting request conservation after every
+    /// step and an empty live set at the drain.
+    fn drain_conserving(mut s: ServingSim) -> ServingOutcome {
+        while s.step().unwrap() != StepEvent::Finished {
+            let live = s.live.len();
+            assert_eq!(s.submitted, s.pool.completed() + s.dropped + live as u64);
+            assert_eq!(
+                live,
+                s.pool.waiting_len() + s.pool.running().len() + s.parked.len()
+            );
+        }
+        assert!(
+            s.live.is_empty(),
+            "{} records outlived the run",
+            s.live.len()
+        );
+        assert!(s.is_idle());
+        s.outcome()
+    }
+
+    #[test]
+    fn every_exit_path_removes_the_record() {
+        // Normal completion.
+        let mut s = sim(DeviceMode::neupims(), 4);
+        for i in 0..6 {
+            s.submit(i, 64, 3, (i as u64) * 100_000).unwrap();
+        }
+        assert_eq!(drain_conserving(s).completed, 6);
+
+        // The unadmittable-head drop.
+        let mut s = tight_sim(80 << 20);
+        s.submit(0, 8192, 4, 0).unwrap();
+        s.submit(1, 256, 4, 0).unwrap();
+        let out = drain_conserving(s);
+        assert_eq!((out.completed, out.dropped), (1, 1));
+
+        // Drop-only shed of a running request.
+        let mut s = tight_sim(80 << 20);
+        submit_crowded(&mut s);
+        let out = drain_conserving(s);
+        assert!(out.dropped > 0, "crowding must shed");
+
+        // Park and restore under both preempting policies.
+        for policy in [
+            Box::new(crate::preempt::RecomputeLastAdmitted) as Box<dyn PreemptionPolicy>,
+            Box::new(crate::preempt::SwapLru),
+        ] {
+            let mut s = tight_sim(80 << 20).with_preemption(policy);
+            submit_crowded(&mut s);
+            let out = drain_conserving(s);
+            assert!(out.preemptions > 0 && out.restores > 0);
+            assert_eq!(out.completed, 8);
+        }
     }
 
     #[test]

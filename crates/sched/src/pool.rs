@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use neupims_types::{Cycle, Request, RequestId, RequestState, SimError};
+use neupims_types::{Cycle, Request, RequestId, RequestState};
 
 /// Request pool table: waiting queue plus the running batch.
 #[derive(Debug, Clone, Default)]
@@ -81,12 +81,6 @@ impl RequestPool {
     /// first — so dropping it never reorders the queue behind it.
     pub fn drop_head_waiting(&mut self) -> Option<Request> {
         self.waiting.pop_front()
-    }
-
-    /// Current context lengths of the running batch, index-aligned with
-    /// [`Self::running`].
-    pub fn seq_lens(&self) -> Vec<u64> {
-        self.running.iter().map(|r| r.seq_len() as u64).collect()
     }
 
     /// Iteration boundary, part 1: admit waiting requests (FCFS) while the
@@ -184,18 +178,6 @@ impl RequestPool {
         self.running.push(req);
         true
     }
-
-    /// Looks up a running request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownRequest`] if `id` is not running.
-    pub fn get_running(&self, id: RequestId) -> Result<&Request, SimError> {
-        self.running
-            .iter()
-            .find(|r| r.id == id)
-            .ok_or(SimError::UnknownRequest(id))
-    }
 }
 
 #[cfg(test)]
@@ -204,6 +186,10 @@ mod tests {
 
     fn req(id: u32, input: u32, output: u32, arrival: Cycle) -> Request {
         Request::new(RequestId::new(id), input, output, arrival)
+    }
+
+    fn seq_lens(pool: &RequestPool) -> Vec<u32> {
+        pool.running().iter().map(Request::seq_len).collect()
     }
 
     #[test]
@@ -284,9 +270,9 @@ mod tests {
         let mut pool = RequestPool::new(4);
         pool.submit(req(0, 10, 5, 0));
         pool.admit(0, |_| true);
-        assert_eq!(pool.seq_lens(), vec![10]);
+        assert_eq!(seq_lens(&pool), vec![10]);
         pool.complete_iteration();
-        assert_eq!(pool.seq_lens(), vec![11]);
+        assert_eq!(seq_lens(&pool), vec![11]);
     }
 
     #[test]
@@ -299,7 +285,7 @@ mod tests {
         let done = pool.complete_iteration_where(|r| r.id == RequestId::new(1));
         assert!(done.is_empty());
         assert_eq!(pool.tokens_generated(), 1);
-        assert_eq!(pool.seq_lens(), vec![8, 9]);
+        assert_eq!(seq_lens(&pool), vec![8, 9]);
         // Now both participate; both finish.
         let done = pool.complete_iteration();
         assert_eq!(done.len(), 2);
@@ -385,7 +371,8 @@ mod tests {
         pool.complete_iteration();
         pool.complete_iteration(); // requests 0 and 2 retire
         assert!(pool.resume(victim));
-        let r = pool.get_running(RequestId::new(1)).unwrap();
+        let r = &pool.running()[0];
+        assert_eq!(r.id, RequestId::new(1));
         assert_eq!(r.generated, 1);
         assert_eq!(r.state, RequestState::Running);
         // Outstanding work counts the resumed request's remaining tokens.
@@ -393,11 +380,16 @@ mod tests {
     }
 
     #[test]
-    fn get_running_errors_on_unknown() {
-        let pool = RequestPool::new(1);
-        assert!(matches!(
-            pool.get_running(RequestId::new(42)),
-            Err(SimError::UnknownRequest(_))
-        ));
+    fn running_excludes_unknown_ids() {
+        let mut pool = RequestPool::new(1);
+        pool.submit(req(0, 8, 2, 0));
+        pool.admit(0, |_| true);
+        assert!(pool.running().iter().all(|r| r.id != RequestId::new(42)));
+        assert!(pool.preempt_running(RequestId::new(42)).is_none());
+        assert_eq!(
+            pool.running().len(),
+            1,
+            "an unknown id leaves the batch alone"
+        );
     }
 }
