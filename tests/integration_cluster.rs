@@ -37,6 +37,35 @@ fn fig14_prefers_tp_at_every_device_count() {
 }
 
 #[test]
+fn fig14_rows_are_bit_identical_golden() {
+    // Figure 14's eight (TP, PP) bars at the default context, pinned to
+    // the bit so a refactor of the multi-chip pricing path cannot move
+    // them silently.
+    let rows = fig14_parallelism(&ExperimentContext::table2().unwrap()).unwrap();
+    let golden: [((u32, u32), u64); 8] = [
+        ((4, 1), 0x40dd249e642dba26),
+        ((2, 2), 0x40d2dfb32726c5e1),
+        ((8, 1), 0x40f282cf63a83cbb),
+        ((4, 2), 0x40e2ed4433e71e29),
+        ((8, 2), 0x40f306302c6eaccc),
+        ((4, 4), 0x40e55d7135bdd99c),
+        ((16, 4), 0x40f9843643af259b),
+        ((8, 8), 0x40f38f7facb9fbc4),
+    ];
+    assert_eq!(rows.len(), golden.len());
+    for (row, ((tp, pp), bits)) in rows.iter().zip(golden) {
+        assert_eq!((row.tp, row.pp), (tp, pp));
+        assert_eq!(row.devices, tp * pp);
+        assert_eq!(
+            row.tokens_per_sec.to_bits(),
+            bits,
+            "(tp{tp},pp{pp}): {} tokens/s",
+            row.tokens_per_sec
+        );
+    }
+}
+
+#[test]
 fn table3_defaults_deploy_cleanly() {
     // Every Table 3 model runs at its published (TP, PP) with 256 requests.
     let d = device();
