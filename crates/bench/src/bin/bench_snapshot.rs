@@ -368,7 +368,7 @@ fn sharding_snapshot(out_path: &str, no_fail: bool) {
         );
         let sharded = sharded_deployment(tp);
         let (samples, s) = time(ITERS, || {
-            sharded.cluster_tokens_per_sec(&model, &seqs).unwrap()
+            sharded.cluster_tokens_per_sec(&model, 1, &seqs).unwrap()
         });
         sink += s;
         throughputs.push((format!("tp{tp}"), Json::Num(s / ITERS as f64)));

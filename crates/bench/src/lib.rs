@@ -7,7 +7,6 @@
 //! `table4`, `table5`, `area`), not from here.
 
 use neupims_core::backend::GpuRooflineBackend;
-use neupims_core::cluster::ClusterSpec;
 use neupims_core::device::{Device, DeviceMode};
 use neupims_core::fleet::{policy_from_name, FleetRequest, FleetSim};
 use neupims_core::interconnect::PcieLink;
@@ -16,7 +15,7 @@ use neupims_core::orchestrator::{
 };
 use neupims_core::scheduler::scheduler_from_name;
 use neupims_core::serving::{ServingConfig, ServingSim, SloTargets};
-use neupims_core::sharding::ShardedBackend;
+use neupims_core::sharding::{ClusterSpec, ShardedBackend};
 use neupims_pim::calibrate;
 use neupims_types::{LlmConfig, NeuPimsConfig};
 

@@ -114,7 +114,6 @@ pub const DEFAULT_SERVE_SEED: u64 = 0x5EED;
 pub const DEFAULT_FLEET_SEED: u64 = 0xF1EE7;
 
 use neupims_core::backend::Backend;
-use neupims_core::cluster::ClusterSpec;
 use neupims_core::experiments::{
     area_overhead, fig12_throughput, fig13_ablation, fig14_parallelism, fig15_transpim,
     fig4_roofline, fig5_gpu_util, fig6_layer_util, table4_utilization, table5_power,
@@ -129,7 +128,7 @@ use neupims_core::orchestrator::{
 use neupims_core::preempt::{preemption_from_name, SwapConfig, PREEMPTION_NAMES};
 use neupims_core::scheduler::{scheduler_from_name, SCHEDULER_NAMES};
 use neupims_core::serving::{ServingConfig, ServingSim, SloTargets};
-use neupims_core::sharding::ShardedBackend;
+use neupims_core::sharding::{ClusterSpec, ShardedBackend};
 use neupims_core::BACKEND_NAMES;
 use neupims_kvcache::KvGeometry;
 use neupims_sched::{

@@ -11,7 +11,7 @@
 //! Everything above the device models is generic over this trait: the
 //! [`Simulation`](crate::simulation::Simulation) builder, the serving loop
 //! ([`ServingSim<B>`](crate::serving::ServingSim)), and the multi-device
-//! scaling model ([`cluster_throughput`](crate::cluster::cluster_throughput)).
+//! scaling model ([`ShardedBackend<B>`](crate::sharding::ShardedBackend)).
 //! Adding a new accelerator model to every experiment, scheduler policy,
 //! and serving scenario is therefore one `impl Backend` away.
 //!

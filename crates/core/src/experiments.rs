@@ -31,8 +31,9 @@ use neupims_workload::{warm_batch, Dataset};
 use crate::backend::{
     backend_from_name, Backend, BackendError, GpuRooflineBackend, TransPimBackend,
 };
-use crate::cluster::{cluster_throughput, ClusterSpec};
 use crate::device::{Device, DeviceMode, SbiPolicy};
+use crate::interconnect::PcieLink;
+use crate::sharding::{ClusterSpec, ShardedBackend};
 use crate::simulation::{Simulation, SimulationBuilder};
 
 /// Shared context: hardware config plus one-time PIM calibration.
@@ -443,7 +444,9 @@ pub struct Fig14Row {
 }
 
 /// Regenerates Figure 14: throughput of the paper's (TP, PP) combinations
-/// at 256 total requests (GPT3-7B shardable across all of them).
+/// at 256 total requests (GPT3-7B shardable across all of them). TP is
+/// chip-internal: each device prices its own ring all-reduces on the
+/// board link, and the `pp` stages hop over that same link.
 ///
 /// # Errors
 ///
@@ -467,10 +470,11 @@ pub fn fig14_parallelism(
     let seqs = ctx.warm_seqs(&mut rng, Dataset::ShareGpt, 256);
     let mut rows = Vec::new();
     for (tp, pp) in combos {
-        let spec = ClusterSpec::new(tp, pp);
-        let thr = cluster_throughput(&backend, &model, spec, &seqs)?;
+        let link = Box::new(PcieLink::from_config(backend.interconnect()));
+        let thr = ShardedBackend::new(&backend, ClusterSpec::new(1, pp), link)?
+            .cluster_tokens_per_sec(&model, tp, &seqs)?;
         rows.push(Fig14Row {
-            devices: spec.devices(),
+            devices: tp * pp,
             tp,
             pp,
             tokens_per_sec: thr,

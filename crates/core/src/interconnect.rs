@@ -17,9 +17,8 @@
 //! * [`NocLink`] — a LEAP-style scalable PIM network-on-chip: a 2D mesh
 //!   of narrower links, where hop count grows with `ceil(sqrt(chips))`.
 //! * [`IdealLink`] — zero latency, infinite bandwidth. The limit in which
-//!   sharded pricing must reproduce the legacy divide-and-ceil
-//!   [`cluster_throughput`](crate::cluster::cluster_throughput) numbers
-//!   bit-for-bit (the parity pin of `tests/parity_sharding.rs`).
+//!   wrapper-priced TP must reproduce chip-internal TP on a free board
+//!   link bit-for-bit (the parity pin of `tests/parity_sharding.rs`).
 //!
 //! Every implementation is a pure, deterministic cost model: collective
 //! cost is monotone non-decreasing in both message size and chip count
@@ -32,8 +31,8 @@ use neupims_types::{config::InterconnectConfig, Cycle, SimError};
 /// block compiler emits).
 pub const ALLREDUCES_PER_LAYER: u64 = 2;
 
-/// A priced chip-to-chip fabric: point-to-point transfers plus the two
-/// collectives tensor-parallel inference needs.
+/// A priced chip-to-chip fabric: point-to-point transfers plus the
+/// all-reduce tensor-parallel inference needs.
 ///
 /// Implementations must be deterministic and monotone: more bytes or more
 /// chips never cost fewer cycles.
@@ -48,10 +47,6 @@ pub trait Interconnect: std::fmt::Debug + Send + Sync {
     /// Cycles for an all-reduce of `bytes` (per chip) across `chips`.
     fn all_reduce_cycles(&self, bytes: u64, chips: u32) -> Cycle;
 
-    /// Cycles for an all-gather leaving every chip with `bytes` total
-    /// (each chip contributes `bytes / chips`).
-    fn all_gather_cycles(&self, bytes: u64, chips: u32) -> Cycle;
-
     /// Clones the fabric behind the trait object.
     fn clone_box(&self) -> Box<dyn Interconnect>;
 }
@@ -64,8 +59,9 @@ impl Clone for Box<dyn Interconnect> {
 
 /// Zero-latency, infinite-bandwidth fabric: every transfer is free.
 ///
-/// This is the limit in which [`crate::sharding::ShardedBackend`] must
-/// reproduce the legacy `cluster_throughput` numbers exactly.
+/// This is the limit in which wrapper-priced TP in
+/// [`crate::sharding::ShardedBackend`] must reproduce chip-internal TP
+/// exactly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IdealLink;
 
@@ -82,10 +78,6 @@ impl Interconnect for IdealLink {
         0
     }
 
-    fn all_gather_cycles(&self, _bytes: u64, _chips: u32) -> Cycle {
-        0
-    }
-
     fn clone_box(&self) -> Box<dyn Interconnect> {
         Box::new(*self)
     }
@@ -93,9 +85,9 @@ impl Interconnect for IdealLink {
 
 /// PCIe/CXL-class point-to-point links in a ring.
 ///
-/// Point-to-point pricing is the legacy `cluster_throughput` formula
-/// (`bytes / bandwidth + latency`), and the ring all-reduce is the exact
-/// device-internal formula, so wrapping a device behind
+/// Point-to-point pricing is `bytes / bandwidth + latency`, and the ring
+/// all-reduce is the exact device-internal formula, so wrapping a device
+/// behind
 /// `PcieLink::from_config(device.interconnect())` re-prices collectives
 /// bit-for-bit.
 #[derive(Debug, Clone, Copy)]
@@ -146,15 +138,6 @@ impl Interconnect for PcieLink {
         }
         let steps = 2 * (chips as u64 - 1);
         let per_dev = bytes * (chips as u64 - 1) * 2 / chips as u64;
-        per_dev / self.bytes_per_cycle.max(1) + steps * self.latency
-    }
-
-    fn all_gather_cycles(&self, bytes: u64, chips: u32) -> Cycle {
-        if chips <= 1 || bytes == 0 {
-            return 0;
-        }
-        let steps = chips as u64 - 1;
-        let per_dev = bytes * (chips as u64 - 1) / chips as u64;
         per_dev / self.bytes_per_cycle.max(1) + steps * self.latency
     }
 
@@ -217,15 +200,6 @@ impl Interconnect for UnifiedMemoryLink {
         // Every chip writes `bytes` of partials and reads `bytes` of the
         // reduced result through the one shared port.
         2 * bytes * chips as u64 / self.bytes_per_cycle.max(1) + 2 * self.latency
-    }
-
-    fn all_gather_cycles(&self, bytes: u64, chips: u32) -> Cycle {
-        if chips <= 1 || bytes == 0 {
-            return 0;
-        }
-        // Shards land once (bytes total written); every chip reads the
-        // concatenation back, so reads dominate: ~bytes per chip.
-        bytes * chips as u64 / self.bytes_per_cycle.max(1) + 2 * self.latency
     }
 
     fn clone_box(&self) -> Box<dyn Interconnect> {
@@ -292,15 +266,6 @@ impl Interconnect for NocLink {
         // each of the 2(n-1) steps is a multi-hop route.
         let steps = 2 * (chips as u64 - 1);
         let per_dev = bytes * (chips as u64 - 1) * 2 / chips as u64;
-        per_dev / self.bytes_per_cycle.max(1) + steps * self.hop_latency * Self::mesh_hops(chips)
-    }
-
-    fn all_gather_cycles(&self, bytes: u64, chips: u32) -> Cycle {
-        if chips <= 1 || bytes == 0 {
-            return 0;
-        }
-        let steps = chips as u64 - 1;
-        let per_dev = bytes * (chips as u64 - 1) / chips as u64;
         per_dev / self.bytes_per_cycle.max(1) + steps * self.hop_latency * Self::mesh_hops(chips)
     }
 
@@ -391,13 +356,12 @@ mod tests {
         let l = IdealLink;
         assert_eq!(l.point_to_point_cycles(1 << 30), 0);
         assert_eq!(l.all_reduce_cycles(1 << 30, 64), 0);
-        assert_eq!(l.all_gather_cycles(1 << 30, 64), 0);
     }
 
     #[test]
     fn pcie_matches_legacy_formulas() {
-        // Point-to-point is the legacy cluster comm term; all-reduce is
-        // the device-internal ring formula, verbatim.
+        // Point-to-point is the stage-hop term; all-reduce is the
+        // device-internal ring formula, verbatim.
         let ic = InterconnectConfig::pcie_cxl();
         let l = PcieLink::from_config(ic);
         let bytes = 1_234_567u64;
@@ -432,7 +396,6 @@ mod tests {
                 continue;
             }
             assert!(l.all_reduce_cycles(1 << 20, 4) > 0, "{}", l.name());
-            assert!(l.all_gather_cycles(1 << 20, 4) > 0, "{}", l.name());
             assert!(l.point_to_point_cycles(1 << 20) > 0, "{}", l.name());
         }
     }

@@ -11,7 +11,7 @@
 //!   CLI selection;
 //! * [`simulation`] — the [`Simulation`] builder tying a backend to a
 //!   model, dataset, and batch geometry: the single entry point for
-//!   iteration pricing, throughput sweeps, (TP, PP) scaling, and serving;
+//!   iteration pricing, throughput sweeps, and serving;
 //! * [`device`] — one accelerator executing batched decode iterations
 //!   under a [`device::DeviceMode`]: `NpuOnly`, `NaiveNpuPim` (blocked-mode
 //!   PIM, round-robin channels), or `NeuPims` (dual row buffers, optional
@@ -20,18 +20,15 @@
 //! * [`gpu`] — the GPU-only roofline baseline (A100-class);
 //! * [`transpim`] — the TransPIM comparator (PIM-only, single-request
 //!   token dataflow) for Figure 15;
-//! * [`cluster`] — tensor/pipeline-parallel multi-device throughput
-//!   (Section 7, Figure 14), generic over any backend;
 //! * [`interconnect`] — the [`Interconnect`] trait pricing chip-to-chip
-//!   collectives (ring all-reduce/all-gather, point-to-point hops) with
+//!   collectives (ring all-reduce, point-to-point hops) with
 //!   PCIe/CXL-style links, IANUS-style unified-memory fabrics, and
 //!   LEAP-style 2D-mesh NoCs as shipped implementations;
-//! * [`sharding`] — first-class multi-chip model parallelism:
-//!   [`ShardedBackend`] wraps any backend, splitting attention heads and
-//!   FFN columns across a TP group and pipelining layer stages with
-//!   explicit bubble accounting, re-pricing every collective on an
-//!   [`Interconnect`]; [`KvShardPlan`] spans the KV cache across the
-//!   deployment's devices;
+//! * [`sharding`] — tensor/pipeline-parallel multi-device deployment
+//!   (Section 7, Figure 14): [`ShardedBackend`] wraps any backend as a
+//!   (TP, PP) [`ClusterSpec`], splitting attention heads and FFN columns
+//!   across a TP group and pipelining layer stages, with collectives
+//!   priced on an [`Interconnect`];
 //! * [`event`] — the discrete-event spine: a global-clock [`EventQueue`]
 //!   of typed [`SimEvent`]s (arrival, iteration-complete,
 //!   restore-complete, replica-idle) that lets the serving loop jump its
@@ -88,7 +85,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod cluster;
 pub mod device;
 mod dispatch;
 pub mod event;
@@ -111,7 +107,6 @@ pub use backend::{
     backend_from_name, backend_from_name_with_cost, Backend, BackendCaps, BackendError,
     CapabilityProfile, GpuRooflineBackend, IterationResult, TransPimBackend, BACKEND_NAMES,
 };
-pub use cluster::{cluster_throughput, ClusterSpec};
 pub use device::{Device, DeviceMode, SbiPolicy};
 pub use event::{EventQueue, SimEvent};
 pub use experiments::ExperimentContext;
@@ -141,8 +136,5 @@ pub use scheduler::{
 pub use serving::{
     RequestMetrics, ServingConfig, ServingOutcome, ServingSim, SloTargets, StepEvent,
 };
-pub use sharding::{
-    pipeline_schedule, split_evenly, KvShardPlan, PipelineTiming, ShardPlan, ShardedBackend,
-    ShardedIteration,
-};
+pub use sharding::{ClusterSpec, ShardedBackend, ShardedIteration};
 pub use simulation::{Simulation, SimulationBuilder};

@@ -1,111 +1,61 @@
-//! First-class multi-chip sharding: tensor-parallel head/column splits,
-//! pipeline stages with explicit bubble accounting, and collectives
-//! priced by a pluggable [`Interconnect`].
+//! Multi-chip deployment of any backend: tensor and pipeline parallelism
+//! (Section 7, Figure 14), with collectives priced by a pluggable
+//! [`Interconnect`].
 //!
 //! [`ShardedBackend`] wraps any [`Backend`] and deploys it as a
 //! `(TP, PP)` [`ClusterSpec`]:
 //!
 //! * **Tensor parallelism** — attention heads and FFN columns split
-//!   across `tp` chips ([`ShardPlan`]). The wrapped backend prices the
-//!   per-chip compute; the two per-layer all-reduces are lifted out of
-//!   the inner breakdown (`allreduce_cycles`) and re-priced on the
+//!   across the TP group; every chip keeps the full batch. The wrapped
+//!   backend prices the per-chip compute at the composed degree (the
+//!   caller's chip-internal `tp` times `spec.tp`). When the spec adds TP
+//!   of its own, the two per-layer all-reduces are lifted out of the
+//!   inner breakdown (`allreduce_cycles`) and re-priced on the
 //!   configured fabric, so swapping `--interconnect` changes exactly the
 //!   collective term and nothing else.
-//! * **Pipeline parallelism** — layers split into `pp` stages; the batch
-//!   flows through as micro-batches. Steady-state throughput comes from
-//!   the pipeline beat (slowest stage vs. inter-stage activation hop),
-//!   and [`pipeline_schedule`] exposes the fill/drain bubble, which is
-//!   `(stages - 1) * microbatch_cost` under uniform stages.
+//! * **Pipeline parallelism** — layers split into `pp` stages and the
+//!   batch into `pp` micro-batches. In steady state one micro-batch
+//!   completes per beat, so system throughput is `(B / pp) / beat`, with
+//!   the beat set by the slowest stage and the inter-stage activation
+//!   hop.
 //!
-//! In the [`IdealLink`](crate::interconnect::IdealLink) limit the sharded
-//! numbers collapse onto the legacy divide-and-ceil
-//! [`cluster_throughput`](crate::cluster::cluster_throughput) bit-for-bit
-//! — that golden parity (and the PCIe-fabric parity against the
-//! device-internal ring) is pinned by `tests/parity_sharding.rs`.
+//! The paper's conclusion — prefer TP until memory forces PP — emerges
+//! because PP shrinks the per-device batch (hurting systolic efficiency
+//! and dividing the tokens per beat) while TP shrinks per-device work.
+//!
+//! TP can be priced two ways. *Chip-internal* TP deploys
+//! `ClusterSpec::new(1, pp)` and passes the degree as the caller's `tp`:
+//! the inner backend prices its collectives on its own board link. This
+//! is how [`fig14_parallelism`](crate::experiments::fig14_parallelism)
+//! prices Figure 14. *Wrapper* TP deploys `ClusterSpec::new(tp, pp)`
+//! with a caller `tp` of 1, re-pricing the collectives on the fabric;
+//! the CLI's `--tp/--pp` flags and the `scaling` eval suite use it. On
+//! an ideal fabric, and on the serial device modes over the board link,
+//! the two agree bit for bit (`tests/parity_sharding.rs`).
 
 use neupims_types::{Cycle, LlmConfig, SimError};
 
-pub use neupims_kvcache::shard::{split_evenly, KvShardPlan};
-
 use crate::backend::{Backend, BackendCaps, BackendError, IterationResult};
-use crate::cluster::ClusterSpec;
 use crate::interconnect::{Interconnect, ALLREDUCES_PER_LAYER};
 
-/// Timing of one fill-run-drain pass of a pipeline.
+/// A (TP, PP) deployment of one model across `tp * pp` devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineTiming {
-    /// The pipeline beat: the slowest stage's cost.
-    pub beat: Cycle,
-    /// Makespan of pushing all micro-batches through every stage.
-    pub total_cycles: Cycle,
-    /// Cycles the pipeline spends filling and draining rather than
-    /// streaming: `total - microbatches * beat`. Equals
-    /// `(stages - 1) * cost` when every stage costs the same.
-    pub bubble_cycles: Cycle,
+pub struct ClusterSpec {
+    /// Tensor-parallel degree.
+    pub tp: u32,
+    /// Pipeline-parallel degree.
+    pub pp: u32,
 }
 
-/// Prices a pipeline of `stage_costs` processing `microbatches`
-/// micro-batches: the first micro-batch walks every stage (fill), then
-/// one completes per beat.
-pub fn pipeline_schedule(stage_costs: &[Cycle], microbatches: u64) -> PipelineTiming {
-    if stage_costs.is_empty() || microbatches == 0 {
-        return PipelineTiming {
-            beat: 0,
-            total_cycles: 0,
-            bubble_cycles: 0,
-        };
+impl ClusterSpec {
+    /// Creates a spec.
+    pub const fn new(tp: u32, pp: u32) -> Self {
+        Self { tp, pp }
     }
-    let beat = stage_costs.iter().copied().max().unwrap_or(0);
-    let fill: Cycle = stage_costs.iter().sum();
-    let total = fill + (microbatches - 1) * beat;
-    PipelineTiming {
-        beat,
-        total_cycles: total,
-        bubble_cycles: total - microbatches * beat,
-    }
-}
 
-/// How one model's weights split across the chips of a [`ClusterSpec`]:
-/// attention heads and FFN columns over the TP ranks, layers over the PP
-/// stages. Splits are balanced within one unit and conserve totals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPlan {
-    /// Attention heads held by each tensor-parallel rank.
-    pub heads_per_chip: Vec<u32>,
-    /// FFN columns (the `4 * d_model` expansion) held by each rank.
-    pub ffn_cols_per_chip: Vec<u32>,
-    /// Decoder layers held by each pipeline stage.
-    pub layers_per_stage: Vec<u32>,
-}
-
-impl ShardPlan {
-    /// Plans `model` over `spec`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for zero degrees, `tp` above
-    /// the head count, or `pp` above the layer count.
-    pub fn new(model: &LlmConfig, spec: ClusterSpec) -> Result<Self, SimError> {
-        if spec.tp == 0 || spec.pp == 0 {
-            return Err(SimError::InvalidConfig("zero parallel degree".into()));
-        }
-        if spec.tp > model.num_heads {
-            return Err(SimError::InvalidConfig(format!(
-                "TP={} exceeds {} attention heads",
-                spec.tp, model.num_heads
-            )));
-        }
-        if spec.pp > model.num_layers {
-            return Err(SimError::InvalidConfig(format!(
-                "PP={} exceeds {} layers",
-                spec.pp, model.num_layers
-            )));
-        }
-        Ok(Self {
-            heads_per_chip: split_evenly(model.num_heads, spec.tp),
-            ffn_cols_per_chip: split_evenly(4 * model.d_model, spec.tp),
-            layers_per_stage: split_evenly(model.num_layers, spec.pp),
-        })
+    /// Devices required.
+    pub const fn devices(&self) -> u32 {
+        self.tp * self.pp
     }
 }
 
@@ -114,11 +64,12 @@ impl ShardPlan {
 /// plot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedIteration {
-    /// Per-stage compute cycles with the inner backend's own collective
-    /// pricing removed.
+    /// Per-stage cycles with the inner backend's own collective pricing
+    /// removed.
     pub stage_compute_cycles: Cycle,
-    /// Re-priced tensor-parallel collective cycles per stage (two
-    /// all-reduces per resident layer on the configured fabric).
+    /// Tensor-parallel collective cycles per stage: two all-reduces per
+    /// resident layer re-priced on the configured fabric, or the inner
+    /// backend's own term when the spec adds no TP.
     pub collective_cycles: Cycle,
     /// Inter-stage activation transfer per beat (zero when `pp == 1`).
     pub pp_transfer_cycles: Cycle,
@@ -128,18 +79,6 @@ pub struct ShardedIteration {
     pub bubble_cycles: Cycle,
     /// Tokens the full batch produces per pipeline round.
     pub tokens: u64,
-}
-
-impl ShardedIteration {
-    /// Fraction of a steady-state beat spent in collectives and
-    /// transfers rather than compute.
-    pub fn communication_fraction(&self) -> f64 {
-        if self.beat == 0 {
-            return 0.0;
-        }
-        let comm = self.collective_cycles + self.pp_transfer_cycles.min(self.beat);
-        (comm.min(self.beat)) as f64 / self.beat as f64
-    }
 }
 
 /// Any [`Backend`] deployed across `tp * pp` chips joined by a priced
@@ -223,13 +162,28 @@ impl<B: Backend> ShardedBackend<B> {
         &*self.interconnect
     }
 
-    /// The weight split this deployment implies for `model`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ShardPlan::new`] validation.
-    pub fn plan(&self, model: &LlmConfig) -> Result<ShardPlan, SimError> {
-        ShardPlan::new(model, self.spec)
+    /// Validates a caller's `(tp, layers)` view against this deployment
+    /// and returns the inner backend's view: the composed TP degree
+    /// (`tp * spec.tp`) and the layers resident on one stage.
+    fn stage_shape(
+        &self,
+        model: &LlmConfig,
+        tp: u32,
+        layers: u32,
+    ) -> Result<(u32, u32), BackendError> {
+        let pp = self.spec.pp;
+        let invalid = |msg: String| BackendError::sim(&self.label, SimError::InvalidConfig(msg));
+        if layers == 0 || !layers.is_multiple_of(pp) {
+            return Err(invalid(format!("{layers} layers not divisible by PP={pp}")));
+        }
+        let inner_tp = tp.max(1).saturating_mul(self.spec.tp);
+        if inner_tp > model.num_heads {
+            return Err(invalid(format!(
+                "TP={inner_tp} exceeds {} attention heads",
+                model.num_heads
+            )));
+        }
+        Ok((inner_tp, layers / pp))
     }
 
     /// Prices one sharded decode beat in full detail: per-stage compute,
@@ -240,8 +194,9 @@ impl<B: Backend> ShardedBackend<B> {
     ///
     /// # Errors
     ///
-    /// Rejects empty batches and layer counts not divisible by `pp`;
-    /// propagates inner backend errors.
+    /// Rejects empty batches, layer counts not divisible by `pp` and a
+    /// composed TP above the model's head count; propagates inner backend
+    /// errors.
     pub fn decode_detail(
         &self,
         model: &LlmConfig,
@@ -249,21 +204,14 @@ impl<B: Backend> ShardedBackend<B> {
         layers: u32,
         seq_lens: &[u64],
     ) -> Result<(ShardedIteration, IterationResult), BackendError> {
-        let pp = self.spec.pp;
-        if layers == 0 || !layers.is_multiple_of(pp) {
-            return Err(BackendError::sim(
-                &self.label,
-                SimError::InvalidConfig(format!("{layers} layers not divisible by PP={pp}")),
-            ));
-        }
+        let (inner_tp, layers_per_stage) = self.stage_shape(model, tp, layers)?;
         if seq_lens.is_empty() {
             return Err(BackendError::sim(
                 &self.label,
                 SimError::InvalidShape("empty batch".into()),
             ));
         }
-        let inner_tp = tp.max(1).saturating_mul(self.spec.tp);
-        let layers_per_stage = layers / pp;
+        let pp = self.spec.pp;
         let micro = seq_lens.len().div_ceil(pp as usize).max(1);
         let mb = &seq_lens[..micro.min(seq_lens.len())];
         let inner = self
@@ -288,7 +236,7 @@ impl<B: Backend> ShardedBackend<B> {
 
         // Inter-stage activation hop: the micro-batch's hidden states,
         // already sharded 1/tp by the column split.
-        let act_bytes = mb.len() as u64 * model.d_model as u64 * es / inner_tp.max(1) as u64;
+        let act_bytes = mb.len() as u64 * model.d_model as u64 * es / inner_tp as u64;
         let pp_transfer = if pp > 1 {
             self.interconnect.point_to_point_cycles(act_bytes)
         } else {
@@ -307,18 +255,18 @@ impl<B: Backend> ShardedBackend<B> {
         Ok((det, inner))
     }
 
-    /// System tokens-per-second of this deployment on one warm batch —
-    /// the same quantity (and the exact same arithmetic) as the legacy
-    /// [`cluster_throughput`](crate::cluster::cluster_throughput), so the
-    /// ideal-fabric limit matches it bit-for-bit.
+    /// System tokens-per-second of this deployment on one warm batch:
+    /// `seq_lens.len() / pp` tokens per pipeline beat. `tp` is the
+    /// caller's chip-internal degree, as in [`Self::decode_detail`].
     ///
     /// # Errors
     ///
-    /// Mirrors the legacy validation: rejects request counts below `pp`;
-    /// propagates pricing errors.
+    /// Rejects request counts below `pp`; propagates
+    /// [`Self::decode_detail`] errors.
     pub fn cluster_tokens_per_sec(
         &self,
         model: &LlmConfig,
+        tp: u32,
         seq_lens: &[u64],
     ) -> Result<f64, SimError> {
         if seq_lens.len() < self.spec.pp as usize {
@@ -329,7 +277,7 @@ impl<B: Backend> ShardedBackend<B> {
             )));
         }
         let (det, _) = self
-            .decode_detail(model, 1, model.num_layers, seq_lens)
+            .decode_detail(model, tp, model.num_layers, seq_lens)
             .map_err(SimError::from)?;
         let beat_secs = neupims_types::units::cycles_to_secs(det.beat);
         Ok(seq_lens.len() as f64 / self.spec.pp as f64 / beat_secs)
@@ -383,24 +331,17 @@ impl<B: Backend> Backend for ShardedBackend<B> {
         layers: u32,
         prompt_lens: &[u64],
     ) -> Result<Cycle, BackendError> {
+        let (inner_tp, layers_per_stage) = self.stage_shape(model, tp, layers)?;
         let pp = self.spec.pp;
-        if layers == 0 || !layers.is_multiple_of(pp) {
-            return Err(BackendError::sim(
-                &self.label,
-                SimError::InvalidConfig(format!("{layers} layers not divisible by PP={pp}")),
-            ));
-        }
-        let inner_tp = tp.max(1).saturating_mul(self.spec.tp);
         let stage = self
             .inner
-            .prefill_cycles(model, inner_tp, layers / pp, prompt_lens)?;
+            .prefill_cycles(model, inner_tp, layers_per_stage, prompt_lens)?;
         // Prefill is a single pass: the prompt activations walk every
         // stage in sequence, paying one inter-stage hop per boundary.
         // (The inner backend's own collective pricing stands — prefill
         // exposes no collective term to lift.)
         let tokens: u64 = prompt_lens.iter().sum();
-        let act_bytes =
-            tokens * model.d_model as u64 * model.dtype.size_bytes() / inner_tp.max(1) as u64;
+        let act_bytes = tokens * model.d_model as u64 * model.dtype.size_bytes() / inner_tp as u64;
         let hops = (pp as u64 - 1) * self.interconnect.point_to_point_cycles(act_bytes);
         Ok(stage * pp as u64 + hops)
     }
@@ -428,45 +369,23 @@ impl<B: Backend> Backend for ShardedBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::Device;
+    use crate::backend::{GpuRooflineBackend, TransPimBackend};
+    use crate::device::{Device, DeviceMode};
     use crate::interconnect::{IdealLink, NocLink, PcieLink, UnifiedMemoryLink};
+    use crate::testsupport::table2_device;
 
     fn backend() -> Device {
-        Device::table2().unwrap()
+        table2_device(DeviceMode::neupims())
     }
 
-    #[test]
-    fn pipeline_bubble_closed_form() {
-        // Uniform stages: bubble = (stages - 1) * cost.
-        for (stages, cost, mb) in [(4u64, 100u64, 8u64), (1, 50, 4), (6, 7, 1)] {
-            let t = pipeline_schedule(&vec![cost; stages as usize], mb);
-            assert_eq!(t.beat, cost);
-            assert_eq!(t.bubble_cycles, (stages - 1) * cost, "{stages} stages");
-            assert_eq!(t.total_cycles, stages * cost + (mb - 1) * cost);
-        }
-        // Non-uniform: the slowest stage sets the beat; faster stages
-        // contribute their shortfall to the bubble.
-        let t = pipeline_schedule(&[10, 30, 20], 5);
-        assert_eq!(t.beat, 30);
-        assert_eq!(t.total_cycles, 60 + 4 * 30);
-        assert_eq!(t.bubble_cycles, 60 + 4 * 30 - 5 * 30);
-        // Degenerate inputs are all-zero, not panics.
-        assert_eq!(pipeline_schedule(&[], 3).total_cycles, 0);
-        assert_eq!(pipeline_schedule(&[5], 0).total_cycles, 0);
-    }
-
-    #[test]
-    fn shard_plan_conserves_and_balances() {
-        let model = LlmConfig::gpt3_30b(); // 56 heads, 48 layers
-        let plan = ShardPlan::new(&model, ClusterSpec::new(8, 4)).unwrap();
-        assert_eq!(plan.heads_per_chip.iter().sum::<u32>(), model.num_heads);
-        assert_eq!(
-            plan.ffn_cols_per_chip.iter().sum::<u32>(),
-            4 * model.d_model
-        );
-        assert_eq!(plan.layers_per_stage.iter().sum::<u32>(), model.num_layers);
-        assert!(ShardPlan::new(&model, ClusterSpec::new(0, 1)).is_err());
-        assert!(ShardPlan::new(&model, ClusterSpec::new(57, 1)).is_err());
+    /// Chip-internal TP on the backend's own board link: the form that
+    /// prices Figure 14.
+    fn chip_tp<B: Backend>(b: &B, model: &LlmConfig, tp: u32, pp: u32, seqs: &[u64]) -> f64 {
+        let link = Box::new(PcieLink::from_config(b.interconnect()));
+        ShardedBackend::new(b, ClusterSpec::new(1, pp), link)
+            .unwrap()
+            .cluster_tokens_per_sec(model, tp, seqs)
+            .unwrap()
     }
 
     #[test]
@@ -520,12 +439,11 @@ mod tests {
             (det.stage_compute_cycles + det.collective_cycles).max(det.pp_transfer_cycles)
         );
         assert_eq!(det.bubble_cycles, det.beat); // (pp-1) * beat with pp=2
-        assert!(det.communication_fraction() > 0.0 && det.communication_fraction() <= 1.0);
         assert_eq!(det.tokens, 64);
     }
 
     #[test]
-    fn validation_mirrors_legacy_cluster() {
+    fn invalid_deployments_are_rejected() {
         let b = backend();
         let model = LlmConfig::gpt3_7b(); // 32 layers
         let mk = |tp, pp| ShardedBackend::new(&b, ClusterSpec::new(tp, pp), Box::new(IdealLink));
@@ -536,10 +454,108 @@ mod tests {
             .decode_iteration(&model, 1, model.num_layers, &[100; 16])
             .is_err());
         let s = mk(4, 2).unwrap();
-        assert!(s.cluster_tokens_per_sec(&model, &[100; 1]).is_err());
+        assert!(s.cluster_tokens_per_sec(&model, 1, &[100; 1]).is_err());
         assert!(s
             .decode_iteration(&model, 1, model.num_layers, &[])
             .is_err());
+        assert!(
+            mk(1, 32)
+                .unwrap()
+                .cluster_tokens_per_sec(&model, 4, &[100; 16])
+                .is_err(),
+            "16 requests cannot fill 32 micro-batches"
+        );
+    }
+
+    #[test]
+    fn tp_above_the_head_count_is_rejected() {
+        // GPT3-7B has 32 heads: a composed TP of 32 is the ceiling,
+        // whether the degree comes from the caller, the spec, or both.
+        let b = backend();
+        let model = LlmConfig::gpt3_7b();
+        let seqs = [100u64; 8];
+        let mk =
+            |tp| ShardedBackend::new(&b, ClusterSpec::new(tp, 1), Box::new(IdealLink)).unwrap();
+        for (spec_tp, tp) in [(64, 1), (1, 64), (8, 8)] {
+            let s = mk(spec_tp);
+            let decode = s.decode_detail(&model, tp, model.num_layers, &seqs);
+            let prefill = s.prefill_cycles(&model, tp, model.num_layers, &[64]);
+            for err in [decode.err(), prefill.err()] {
+                let err = err.unwrap_or_else(|| panic!("tp{spec_tp} x {tp} accepted"));
+                assert!(
+                    matches!(
+                        err,
+                        BackendError::Sim {
+                            source: SimError::InvalidConfig(_),
+                            ..
+                        }
+                    ),
+                    "tp{spec_tp} x {tp}: {err}"
+                );
+            }
+        }
+        assert!(mk(32)
+            .decode_detail(&model, 1, model.num_layers, &seqs)
+            .is_ok());
+        assert!(mk(8)
+            .prefill_cycles(&model, 4, model.num_layers, &[64])
+            .is_ok());
+    }
+
+    #[test]
+    fn per_device_efficiency_falls_with_scale() {
+        // Figure 14's note: with the total request count fixed, growing the
+        // cluster shrinks per-device batches and per-device throughput.
+        let d = backend();
+        let model = LlmConfig::gpt3_7b();
+        let seqs = vec![376u64; 256];
+        let t4 = chip_tp(&d, &model, 4, 1, &seqs);
+        let t32 = chip_tp(&d, &model, 8, 4, &seqs);
+        assert!(
+            t4 / 4.0 > t32 / 32.0,
+            "per-device: 4dev {:.0} vs 32dev {:.0}",
+            t4 / 4.0,
+            t32 / 32.0
+        );
+    }
+
+    #[test]
+    fn remainder_requests_are_not_ignored() {
+        // Regression: `len / pp` used to truncate, so 17 requests at PP=2
+        // were priced as 16 (one request vanished from tokens/s). Both 17
+        // and 18 requests now share the same 9-request representative
+        // micro-batch, so their throughputs must sit in the exact ratio of
+        // their request counts.
+        let d = backend();
+        let model = LlmConfig::gpt3_7b();
+        let t17 = chip_tp(&d, &model, 4, 2, &[300u64; 17]);
+        let t18 = chip_tp(&d, &model, 4, 2, &[300u64; 18]);
+        assert!(t17 > 0.0 && t18 > 0.0);
+        assert!(
+            (t17 / t18 - 17.0 / 18.0).abs() < 1e-9,
+            "remainder request dropped: {t17} vs {t18}"
+        );
+    }
+
+    #[test]
+    fn device_math() {
+        assert_eq!(ClusterSpec::new(8, 4).devices(), 32);
+    }
+
+    #[test]
+    fn scaling_sweeps_run_on_every_backend() {
+        // (TP, PP) deployments of the GPU roofline and TransPIM price
+        // too, not just the NeuPIMs device.
+        let model = LlmConfig::gpt3_7b();
+        let seqs = vec![300u64; 64];
+        let gpu = GpuRooflineBackend::a100();
+        let trans = TransPimBackend::table2().unwrap();
+        for (tp, pp) in [(4, 1), (4, 2)] {
+            let g = chip_tp(&gpu, &model, tp, pp, &seqs);
+            let t = chip_tp(&trans, &model, tp, pp, &seqs);
+            assert!(g > 0.0 && t > 0.0, "(tp{tp},pp{pp})");
+            assert!(g > t, "GPU must outserve TransPIM at (tp{tp},pp{pp})");
+        }
     }
 
     #[test]
@@ -569,7 +585,7 @@ mod tests {
 
     #[test]
     fn overflowing_degrees_are_rejected() {
-        let b = crate::backend::GpuRooflineBackend::a100();
+        let b = GpuRooflineBackend::a100();
         let sharded = ShardedBackend::new(&b, ClusterSpec::new(65536, 65536), Box::new(IdealLink));
         assert!(matches!(sharded, Err(SimError::InvalidConfig(_))));
     }

@@ -1,9 +1,9 @@
 //! The `Simulation` builder: one entry point for every experiment shape.
 //!
 //! A [`Simulation`] binds a [`Backend`] to a model, a dataset, and a batch
-//! geometry, then prices decode iterations, warm-batch throughput,
-//! multi-device (TP, PP) deployments, and full serving runs — replacing
-//! the scattered per-system entry points the harness used to hard-wire.
+//! geometry, then prices decode iterations, warm-batch throughput, and
+//! full serving runs — replacing the scattered per-system entry points
+//! the harness used to hard-wire.
 //!
 //! # Example
 //!
@@ -37,11 +37,9 @@ use neupims_types::{Cycle, LlmConfig};
 use neupims_workload::{warm_batch, Dataset};
 
 use crate::backend::{Backend, BackendError, IterationResult};
-use crate::cluster::{cluster_throughput, ClusterSpec};
 use crate::preempt::{DropOnly, PreemptionPolicy, SwapConfig};
 use crate::scheduler::{LumpPrefill, SchedulerPolicy};
 use crate::serving::{ServingConfig, ServingSim, SloTargets};
-use crate::sharding::ShardedBackend;
 
 /// Default RNG seed of the experiment harness (kept from the seed repo so
 /// regenerated tables stay comparable across versions).
@@ -363,43 +361,6 @@ impl<B: Backend> Simulation<B> {
         Ok(sum / self.samples as f64)
     }
 
-    /// System throughput of a multi-device `(TP, PP)` deployment of this
-    /// simulation's backend, over one sampled warm batch of the configured
-    /// size (Figure 14's bars).
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster validation and backend errors.
-    pub fn cluster_throughput(&self, spec: ClusterSpec) -> Result<f64, BackendError> {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x14);
-        let seqs = self.sample_seq_lens(&mut rng);
-        cluster_throughput(&self.backend, &self.model, spec, &seqs)
-            .map_err(|e| BackendError::sim(self.backend.label(), e))
-    }
-
-    /// Like [`Self::cluster_throughput`], but deployed through a
-    /// [`ShardedBackend`] whose collectives are priced by `interconnect`
-    /// (same warm-batch sampling, so the
-    /// [`IdealLink`](crate::interconnect::IdealLink) limit reproduces the
-    /// legacy divide-and-ceil number bit-for-bit).
-    ///
-    /// # Errors
-    ///
-    /// Propagates sharding validation and backend errors.
-    pub fn sharded_cluster_throughput(
-        &self,
-        spec: ClusterSpec,
-        interconnect: Box<dyn crate::interconnect::Interconnect>,
-    ) -> Result<f64, BackendError> {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x14);
-        let seqs = self.sample_seq_lens(&mut rng);
-        let sharded = ShardedBackend::new(&self.backend, spec, interconnect)
-            .map_err(|e| BackendError::sim(self.backend.label(), e))?;
-        sharded
-            .cluster_tokens_per_sec(&self.model, &seqs)
-            .map_err(|e| BackendError::sim(self.backend.label(), e))
-    }
-
     /// The iteration-level serving scheduler installed into
     /// [`Self::serving`] runs.
     pub fn scheduler(&self) -> &dyn SchedulerPolicy {
@@ -511,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn cluster_and_serving_run_through_the_builder() {
+    fn serving_runs_through_the_builder() {
         let sim = Simulation::builder()
             .model(LlmConfig::gpt3_7b())
             .backend(Device::table2().unwrap())
@@ -519,9 +480,6 @@ mod tests {
             .samples(2)
             .build()
             .unwrap();
-        let thr = sim.cluster_throughput(ClusterSpec::new(4, 2)).unwrap();
-        assert!(thr > 0.0);
-
         let mut serving = sim.serving(16, 0);
         for i in 0..8 {
             serving.submit(i, 64, 4, 0).unwrap();

@@ -13,7 +13,6 @@ use std::fmt;
 use std::path::PathBuf;
 
 use neupims_core::backend::Backend;
-use neupims_core::cluster::ClusterSpec;
 use neupims_core::experiments::ExperimentContext;
 use neupims_core::fleet::{policy_from_name, FleetOutcome, FleetRequest, FleetSim};
 use neupims_core::interconnect::interconnect_from_name;
@@ -24,7 +23,7 @@ use neupims_core::orchestrator::{
 use neupims_core::preempt::{preemption_from_name, SwapConfig};
 use neupims_core::scheduler::scheduler_from_name;
 use neupims_core::serving::{ServingConfig, ServingSim, SloTargets};
-use neupims_core::sharding::ShardedBackend;
+use neupims_core::sharding::{ClusterSpec, ShardedBackend};
 use neupims_pim::calibrate;
 use neupims_sched::{CostModelKind, TraceMemo};
 use neupims_types::NeuPimsConfig;

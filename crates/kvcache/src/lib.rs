@@ -12,10 +12,7 @@
 //! * [`cache::PagedKvCache`] — count-based per-channel accounting used by
 //!   the system simulator at scale (admission, per-token growth, release,
 //!   out-of-memory signaling, and the vLLM preempt/restore lifecycle —
-//!   see [`cache::PagedKvCache::preempt`]);
-//! * [`shard::KvShardPlan`] — multi-chip KV sharding: balanced head and
-//!   layer splits with per-rank geometries, so a 70B-class model's cache
-//!   spans tensor/pipeline-parallel devices.
+//!   see [`cache::PagedKvCache::preempt`]).
 //!
 //! # Example
 //!
@@ -36,9 +33,7 @@
 pub mod cache;
 pub mod geometry;
 pub mod pool;
-pub mod shard;
 
 pub use cache::{PagedKvCache, PreemptedKv};
 pub use geometry::KvGeometry;
 pub use pool::{PageId, PagePool};
-pub use shard::{split_evenly, KvShardPlan};

@@ -1,7 +1,9 @@
 //! Cross-crate integration: multi-device scaling (Section 7 / Figure 14)
 //! and its interaction with the model zoo.
 
-use neupims_core::cluster::{cluster_throughput, ClusterSpec};
+mod common;
+
+use common::chip_tp;
 use neupims_core::device::{Device, DeviceMode};
 use neupims_core::experiments::{fig14_parallelism, ExperimentContext};
 use neupims_pim::calibrate;
@@ -71,9 +73,9 @@ fn table3_defaults_deploy_cleanly() {
     let d = device();
     let seqs = vec![300u64; 256];
     for model in LlmConfig::table3() {
-        let spec = ClusterSpec::new(model.parallelism.tp, model.parallelism.pp);
-        let thr = cluster_throughput(&d, &model, spec, &seqs)
-            .unwrap_or_else(|e| panic!("{}: {e}", model.name));
+        let (tp, pp) = (model.parallelism.tp, model.parallelism.pp);
+        let thr =
+            chip_tp(&d, &model, tp, pp, &seqs).unwrap_or_else(|e| panic!("{}: {e}", model.name));
         assert!(thr > 0.0, "{}", model.name);
     }
 }
@@ -82,9 +84,8 @@ fn table3_defaults_deploy_cleanly() {
 fn bigger_models_are_slower_at_equal_deployment() {
     let d = device();
     let seqs = vec![300u64; 256];
-    let spec = ClusterSpec::new(4, 1);
-    let t7 = cluster_throughput(&d, &LlmConfig::gpt3_7b(), spec, &seqs).unwrap();
-    let t13 = cluster_throughput(&d, &LlmConfig::gpt3_13b(), spec, &seqs).unwrap();
+    let t7 = chip_tp(&d, &LlmConfig::gpt3_7b(), 4, 1, &seqs).unwrap();
+    let t13 = chip_tp(&d, &LlmConfig::gpt3_13b(), 4, 1, &seqs).unwrap();
     assert!(t7 > t13, "7B {t7} vs 13B {t13}");
 }
 
@@ -93,6 +94,6 @@ fn pipeline_needs_enough_requests() {
     let d = device();
     let model = LlmConfig::gpt3_7b();
     // PP=8 with only 4 requests cannot form micro-batches.
-    let err = cluster_throughput(&d, &model, ClusterSpec::new(4, 8), &[100; 4]);
+    let err = chip_tp(&d, &model, 4, 8, &[100; 4]);
     assert!(err.is_err());
 }

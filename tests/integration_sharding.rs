@@ -6,12 +6,11 @@
 //! cycle counts — the shapes are the claim, the eval goldens pin values.
 
 use neupims_core::backend::Backend;
-use neupims_core::cluster::ClusterSpec;
 use neupims_core::device::Device;
 use neupims_core::interconnect::{IdealLink, Interconnect, PcieLink};
 use neupims_core::serving::{ServingConfig, ServingSim};
-use neupims_core::sharding::{KvShardPlan, ShardedBackend};
-use neupims_types::{LlmConfig, MemConfig};
+use neupims_core::sharding::{ClusterSpec, ShardedBackend};
+use neupims_types::LlmConfig;
 
 const TP_SWEEP: [u32; 4] = [1, 2, 4, 8];
 
@@ -25,7 +24,7 @@ fn tp_curve(fabric: impl Fn() -> Box<dyn Interconnect>) -> Vec<f64> {
         .map(|&tp| {
             ShardedBackend::new(&b, ClusterSpec::new(tp, 1), fabric())
                 .unwrap()
-                .cluster_tokens_per_sec(&model, &seqs)
+                .cluster_tokens_per_sec(&model, 1, &seqs)
                 .unwrap()
         })
         .collect()
@@ -102,13 +101,6 @@ fn pp_deployment_prices_bubbles_and_hops() {
         .unwrap();
     assert!(det.pp_transfer_cycles > 0, "PP must pay the stage hop");
     assert_eq!(det.bubble_cycles, det.beat, "(pp-1)*beat at pp=2");
-    // The KV plan of the same deployment spans all 8 chips.
-    let plan = KvShardPlan::new(&model, &MemConfig::table2(), 4, 2).unwrap();
-    assert_eq!(plan.devices(), 8);
-    assert_eq!(
-        plan.aggregate_capacity_bytes(&MemConfig::table2()),
-        8 * MemConfig::table2().total_capacity()
-    );
 }
 
 #[test]
@@ -148,7 +140,7 @@ fn sharding_tp_beats_pp_like_the_legacy_model() {
     let thr = |tp, pp| {
         ShardedBackend::new(&b, ClusterSpec::new(tp, pp), Box::new(PcieLink::default()))
             .unwrap()
-            .cluster_tokens_per_sec(&model, &seqs)
+            .cluster_tokens_per_sec(&model, 1, &seqs)
             .unwrap()
     };
     let tp8 = thr(8, 1);
@@ -178,4 +170,25 @@ fn composed_tp_multiplies_the_degrees() {
     // collectives (re-priced to zero).
     let flat_compute = flat.total_cycles - flat.allreduce_cycles;
     assert_eq!(composed.total_cycles(), flat_compute.max(1));
+}
+
+#[test]
+fn sweep_rejects_tp_above_the_head_count() {
+    // GPT3-7B has 32 attention heads: `--tp 64` must fail the sweep with
+    // a named error, while `--tp 32` still prices.
+    let sweep = |tp: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
+            .args(["sweep", "--model", "gpt3-7b", "--quick", "--samples", "1"])
+            .args(["--tp", tp])
+            .output()
+            .unwrap()
+    };
+    let out = sweep("64");
+    assert!(!out.status.success(), "--tp 64 must fail the sweep");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("TP=64 exceeds 32 attention heads"),
+        "{stderr}"
+    );
+    assert!(sweep("32").status.success());
 }

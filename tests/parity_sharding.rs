@@ -1,28 +1,32 @@
-//! Golden parity: `ShardedBackend` against the legacy divide-and-ceil
-//! `cluster_throughput`.
+//! Golden parity: wrapper TP against chip-internal TP.
 //!
-//! The sharding layer must be a strict generalization of the legacy
-//! multi-device model. Two limits pin it:
+//! `ShardedBackend` prices tensor parallelism two ways. *Chip-internal*
+//! TP (`ClusterSpec::new(1, pp)` on the board link, with `tp` passed as
+//! the caller's degree) lets the device price its own ring all-reduces;
+//! it is the original multi-device model, the form Figure 14 uses, and
+//! the "legacy" reference the test names refer to. *Wrapper* TP (`ClusterSpec::new(tp,
+//! pp)`, caller `tp = 1`) lifts those collectives out and re-prices them
+//! on the fabric. Two limits pin the wrapper to the chip-internal
+//! reference:
 //!
 //! * **Ideal fabric** — a zero-latency, infinite-bandwidth interconnect
 //!   on a device whose own link config is free: both terms the fabric
-//!   prices vanish, so every `(tp, pp)` point must reproduce the legacy
-//!   number *bit-for-bit* (same style as the `run_lockstep` parity of
-//!   the event-driven fleet).
+//!   prices vanish, so every `(tp, pp)` point must match *bit-for-bit*
+//!   (same style as the `run_lockstep` parity of the event-driven fleet).
 //! * **PCIe fabric** — `PcieLink::from_config` uses the exact
 //!   device-internal ring-all-reduce and stage-hop formulas, so on the
 //!   serial device modes (whose collective term is one ring per layer
-//!   pair) the default link reproduces legacy numbers bit-for-bit too.
+//!   pair) the board link matches bit-for-bit too.
 
+mod common;
+
+use common::chip_tp;
 use neupims_core::backend::{Backend, TransPimBackend};
-use neupims_core::cluster::{cluster_throughput, ClusterSpec};
 use neupims_core::device::{Device, DeviceMode};
 use neupims_core::interconnect::{IdealLink, PcieLink};
-use neupims_core::sharding::ShardedBackend;
-use neupims_core::simulation::Simulation;
+use neupims_core::sharding::{ClusterSpec, ShardedBackend};
 use neupims_pim::calibrate;
 use neupims_types::{config::InterconnectConfig, LlmConfig, NeuPimsConfig};
-use neupims_workload::Dataset;
 
 /// The (tp, pp) grid every parity check walks: pure TP, pure PP, mixed,
 /// and non-dividing request counts are all represented by the callers.
@@ -45,18 +49,18 @@ fn assert_parity<B: Backend>(b: &B, model: &LlmConfig, seqs: &[u64], ideal: bool
         if !model.num_layers.is_multiple_of(pp) || seqs.len() < pp as usize {
             continue;
         }
-        let legacy = cluster_throughput(b, model, spec, seqs).unwrap();
+        let chip = chip_tp(b, model, tp, pp, seqs).unwrap();
         let fabric: Box<dyn neupims_core::Interconnect> = if ideal {
             Box::new(IdealLink)
         } else {
             Box::new(PcieLink::from_config(b.interconnect()))
         };
         let sharded = ShardedBackend::new(b, spec, fabric).unwrap();
-        let ours = sharded.cluster_tokens_per_sec(model, seqs).unwrap();
+        let wrapper = sharded.cluster_tokens_per_sec(model, 1, seqs).unwrap();
         assert_eq!(
-            ours.to_bits(),
-            legacy.to_bits(),
-            "{tag} (tp{tp},pp{pp}): sharded {ours} != legacy {legacy}"
+            wrapper.to_bits(),
+            chip.to_bits(),
+            "{tag} (tp{tp},pp{pp}): wrapper {wrapper} != chip-internal {chip}"
         );
     }
 }
@@ -102,8 +106,8 @@ fn pcie_fabric_matches_legacy_on_serial_modes() {
 
 #[test]
 fn parity_survives_remainder_micro_batches() {
-    // 17 requests at PP=2: the legacy path prices the 9-request
-    // representative micro-batch; the sharded path must do the same.
+    // 17 requests at PP=2: both forms price the 9-request representative
+    // micro-batch.
     let cfg = zero_link_config();
     let cal = calibrate(&cfg).unwrap();
     let b = Device::new(cfg, cal, DeviceMode::neupims());
@@ -111,36 +115,12 @@ fn parity_survives_remainder_micro_batches() {
     let spec = ClusterSpec::new(4, 2);
     for n in [17usize, 18, 31] {
         let seqs = vec![300u64; n];
-        let legacy = cluster_throughput(&b, &model, spec, &seqs).unwrap();
-        let ours = ShardedBackend::new(&b, spec, Box::new(IdealLink))
+        let chip = chip_tp(&b, &model, 4, 2, &seqs).unwrap();
+        let wrapper = ShardedBackend::new(&b, spec, Box::new(IdealLink))
             .unwrap()
-            .cluster_tokens_per_sec(&model, &seqs)
+            .cluster_tokens_per_sec(&model, 1, &seqs)
             .unwrap();
-        assert_eq!(ours.to_bits(), legacy.to_bits(), "{n} requests");
-    }
-}
-
-#[test]
-fn simulation_level_parity_shares_the_sampler() {
-    // Simulation::sharded_cluster_throughput draws the same warm batch as
-    // Simulation::cluster_throughput (seed ^ 0x14), so the ideal limit is
-    // bit-for-bit at the harness level, not just the backend level.
-    let cfg = zero_link_config();
-    let cal = calibrate(&cfg).unwrap();
-    let sim = Simulation::builder()
-        .model(LlmConfig::gpt3_7b())
-        .backend(Device::new(cfg, cal, DeviceMode::neupims()))
-        .dataset(Dataset::ShareGpt)
-        .batch(64)
-        .build()
-        .unwrap();
-    for (tp, pp) in [(4u32, 1u32), (4, 2), (8, 4)] {
-        let spec = ClusterSpec::new(tp, pp);
-        let legacy = sim.cluster_throughput(spec).unwrap();
-        let ours = sim
-            .sharded_cluster_throughput(spec, Box::new(IdealLink))
-            .unwrap();
-        assert_eq!(ours.to_bits(), legacy.to_bits(), "(tp{tp},pp{pp})");
+        assert_eq!(wrapper.to_bits(), chip.to_bits(), "{n} requests");
     }
 }
 
@@ -155,11 +135,11 @@ fn real_fabric_never_beats_the_free_limit() {
         let spec = ClusterSpec::new(tp, pp);
         let free = ShardedBackend::new(&b, spec, Box::new(IdealLink))
             .unwrap()
-            .cluster_tokens_per_sec(&model, &seqs)
+            .cluster_tokens_per_sec(&model, 1, &seqs)
             .unwrap();
         let priced = ShardedBackend::new(&b, spec, Box::new(PcieLink::from_gbps(16.0)))
             .unwrap()
-            .cluster_tokens_per_sec(&model, &seqs)
+            .cluster_tokens_per_sec(&model, 1, &seqs)
             .unwrap();
         assert!(
             priced <= free,

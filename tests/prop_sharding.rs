@@ -1,18 +1,15 @@
 //! Property tests on the sharding layer: collective-cost monotonicity for
-//! every `Interconnect` implementation, head-split conservation/balance,
-//! and the closed-form pipeline bubble.
+//! every `Interconnect` implementation.
 
 use proptest::prelude::*;
 
 use neupims_core::interconnect::{interconnect_from_name, INTERCONNECT_NAMES};
-use neupims_core::sharding::{pipeline_schedule, split_evenly};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Collective cost is monotone non-decreasing in message size and in
-    /// chip count, for every fabric and both collectives; point-to-point
-    /// is monotone in bytes.
+    /// All-reduce cost is monotone non-decreasing in message size and in
+    /// chip count, for every fabric; point-to-point is monotone in bytes.
     #[test]
     fn collective_cost_is_monotone(
         bytes_a in 0u64..(1 << 28),
@@ -37,14 +34,6 @@ proptest! {
                     "{name}: all-reduce not monotone in chips ({c_lo} vs {c_hi} @ {b_hi})"
                 );
                 prop_assert!(
-                    fabric.all_gather_cycles(b_lo, c_hi) <= fabric.all_gather_cycles(b_hi, c_hi),
-                    "{name}: all-gather not monotone in bytes"
-                );
-                prop_assert!(
-                    fabric.all_gather_cycles(b_hi, c_lo) <= fabric.all_gather_cycles(b_hi, c_hi),
-                    "{name}: all-gather not monotone in chips"
-                );
-                prop_assert!(
                     fabric.point_to_point_cycles(b_lo) <= fabric.point_to_point_cycles(b_hi),
                     "{name}: point-to-point not monotone in bytes"
                 );
@@ -53,57 +42,5 @@ proptest! {
                 prop_assert_eq!(fabric.all_reduce_cycles(0, c_hi), 0, "{}", name);
             }
         }
-    }
-
-    /// The TP head split conserves the total head count and balances
-    /// within one head, whatever the (heads, chips) combination.
-    #[test]
-    fn head_split_conserves_and_balances(
-        heads in 1u32..512,
-        chips in 1u32..65,
-    ) {
-        let split = split_evenly(heads, chips);
-        prop_assert_eq!(split.len(), chips as usize);
-        prop_assert_eq!(split.iter().sum::<u32>(), heads);
-        let min = *split.iter().min().unwrap();
-        let max = *split.iter().max().unwrap();
-        prop_assert!(max - min <= 1, "{heads} heads over {chips}: {split:?}");
-        // Deterministic layout: the larger shards come first.
-        prop_assert!(split.windows(2).all(|w| w[0] >= w[1]));
-    }
-
-    /// Under uniform stage costs the pipeline bubble equals the closed
-    /// form `(stages - 1) * microbatch_cost`, independent of how many
-    /// micro-batches stream through.
-    #[test]
-    fn uniform_pipeline_bubble_closed_form(
-        stages in 1usize..12,
-        cost in 1u64..1_000_000,
-        microbatches in 1u64..64,
-    ) {
-        let t = pipeline_schedule(&vec![cost; stages], microbatches);
-        prop_assert_eq!(t.beat, cost);
-        prop_assert_eq!(t.bubble_cycles, (stages as u64 - 1) * cost);
-        prop_assert_eq!(
-            t.total_cycles,
-            stages as u64 * cost + (microbatches - 1) * cost
-        );
-    }
-
-    /// Non-uniform stages: the bubble is exactly the faster stages' idle
-    /// shortfall against the beat during fill/drain.
-    #[test]
-    fn skewed_pipeline_bubble_is_the_shortfall(
-        costs in prop::collection::vec(1u64..100_000, 1..10),
-        microbatches in 1u64..32,
-    ) {
-        let t = pipeline_schedule(&costs, microbatches);
-        let beat = *costs.iter().max().unwrap();
-        let fill: u64 = costs.iter().sum();
-        prop_assert_eq!(t.beat, beat);
-        prop_assert_eq!(t.total_cycles, fill + (microbatches - 1) * beat);
-        prop_assert_eq!(t.bubble_cycles, fill + (microbatches - 1) * beat - microbatches * beat);
-        // The bubble never exceeds (stages - 1) * beat.
-        prop_assert!(t.bubble_cycles <= (costs.len() as u64 - 1) * beat);
     }
 }
