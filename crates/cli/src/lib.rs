@@ -55,12 +55,13 @@
 //!   command streams through the cycle-level DRAM model, memoized per
 //!   context-length bucket); `drift --tolerance F` reports where the two
 //!   disagree by more than F (relative, default 0.10)
-//! --memo-cache DIR (on serve/fleet/eval, with --cost-model trace)
-//!   persists the replay memo to DIR: a rerun over the same hardware
-//!   config loads every priced bucket from disk instead of replaying it
-//!   (corrupt or version-mismatched entries are ignored with a warning);
-//!   `fleet` additionally shares one memo across all replicas and
-//!   pre-replays cold buckets in parallel before serving starts
+//! a trace-priced run shares one replay memo across all its backends and
+//!   replicas; --memo-cache DIR (on sweep/serve/fleet/eval) persists it
+//!   to DIR: a rerun over the same hardware config loads every priced
+//!   bucket from disk instead of replaying it (corrupt or
+//!   version-mismatched entries are ignored with a warning); `fleet`
+//!   additionally pre-replays cold buckets in parallel before serving
+//!   starts
 //! multi-chip sharding (on sweep/serve/fleet): --tp N splits attention
 //! heads and FFN columns across N chips, --pp N pipelines the decoder
 //! stack over N stages; the per-layer collectives and stage hops are
@@ -113,27 +114,24 @@ pub const DEFAULT_SERVE_SEED: u64 = 0x5EED;
 /// [`DEFAULT_SERVE_SEED`] for why this must not depend on `--requests`).
 pub const DEFAULT_FLEET_SEED: u64 = 0xF1EE7;
 
-use neupims_core::backend::Backend;
 use neupims_core::experiments::{
     area_overhead, fig12_throughput, fig13_ablation, fig14_parallelism, fig15_transpim,
     fig4_roofline, fig5_gpu_util, fig6_layer_util, table4_utilization, table5_power,
     ExperimentContext,
 };
-use neupims_core::fleet::{policy_from_name, FleetRequest, FleetSim, POLICY_NAMES};
-use neupims_core::interconnect::{interconnect_from_name, INTERCONNECT_NAMES};
-use neupims_core::orchestrator::{
-    autoscale_from_name, router_from_name, OrchRequest, Orchestrator, OrchestratorConfig,
-    TenantClass, AUTOSCALE_NAMES, ROUTER_NAMES,
-};
-use neupims_core::preempt::{preemption_from_name, SwapConfig, PREEMPTION_NAMES};
-use neupims_core::scheduler::{scheduler_from_name, SCHEDULER_NAMES};
-use neupims_core::serving::{ServingConfig, ServingSim, SloTargets};
-use neupims_core::sharding::{ClusterSpec, ShardedBackend};
+use neupims_core::fleet::{FleetRequest, POLICY_NAMES};
+use neupims_core::interconnect::INTERCONNECT_NAMES;
+use neupims_core::orchestrator::{OrchRequest, TenantClass, AUTOSCALE_NAMES, ROUTER_NAMES};
+use neupims_core::preempt::PREEMPTION_NAMES;
+use neupims_core::scheduler::SCHEDULER_NAMES;
+use neupims_core::serving::SloTargets;
 use neupims_core::BACKEND_NAMES;
+use neupims_eval::spec::{dataset_from_name, model_from_name};
+use neupims_eval::{EvalOverrides, SystemSpec};
 use neupims_kvcache::KvGeometry;
 use neupims_sched::{
-    calibration_drift, CostModelKind, MhaLatencyEstimator, TraceDrivenCostModel, TraceMemo,
-    TraceSnapshot, COST_MODEL_NAMES, DEFAULT_DRIFT_TOLERANCE,
+    calibration_drift, CostModelKind, MhaLatencyEstimator, TraceDrivenCostModel, TraceSnapshot,
+    COST_MODEL_NAMES, DEFAULT_DRIFT_TOLERANCE,
 };
 use neupims_types::{LlmConfig, Phase};
 use neupims_workload::{arrival_stream, Dataset};
@@ -143,115 +141,22 @@ use rand::{RngExt, SeedableRng};
 struct Options {
     samples: usize,
     quick: bool,
-    backend: String,
-    model: LlmConfig,
     dataset: Dataset,
     batch: Option<usize>,
     requests: usize,
-    max_batch: usize,
-    replicas: usize,
-    policy: String,
-    scheduler: String,
-    chunk_tokens: u32,
-    preemption: String,
-    swap_gbps: f64,
-    cost_model: CostModelKind,
-    cost_model_set: bool,
-    memo_cache: Option<String>,
     tolerance: f64,
     rate: f64,
-    slo_ttft_ms: f64,
-    slo_tpot_ms: f64,
-    seed: Option<u64>,
-    jobs: Option<usize>,
     tenants: Option<String>,
-    autoscale: Option<String>,
-    router: Option<String>,
-    min_replicas: Option<usize>,
-    tp: Option<u32>,
-    pp: Option<u32>,
-    interconnect: String,
-    link_gbps: Option<f64>,
+    /// The system `sweep`, `serve` and `fleet` build, through the same
+    /// methods the eval runner builds a scenario's system with.
+    system: SystemSpec,
+    /// `--seed`, `--jobs`, `--cost-model` and `--memo-cache`: the eval
+    /// suites' run overrides, whose seed, jobs and replay-memo rule the
+    /// serving commands share.
+    run: EvalOverrides,
     suite: Option<String>,
     list: bool,
     reports_dir: String,
-}
-
-impl Options {
-    /// True when `--tp` or `--pp` asked for a multi-chip deployment.
-    fn sharding_requested(&self) -> bool {
-        self.tp.is_some() || self.pp.is_some()
-    }
-
-    /// True when any orchestrator flag (`--tenants`, `--autoscale`,
-    /// `--router`, `--min-replicas`) asked `fleet` to run through the
-    /// meta-orchestrator instead of the bare dispatch loop.
-    fn orchestration_requested(&self) -> bool {
-        self.tenants.is_some()
-            || self.autoscale.is_some()
-            || self.router.is_some()
-            || self.min_replicas.is_some()
-    }
-
-    /// The `--slo-ttft-ms` / `--slo-tpot-ms` targets in cycles.
-    fn slo(&self) -> SloTargets {
-        SloTargets {
-            ttft: (self.slo_ttft_ms * 1e6) as u64,
-            tpot: self.slo_tpot_ms * 1e6,
-        }
-    }
-
-    /// Wraps `backend` in a [`ShardedBackend`] when `--tp`/`--pp` ask for
-    /// a multi-chip deployment (collectives and stage hops priced by
-    /// `--interconnect` / `--link-gbps`); otherwise returns it unchanged.
-    fn maybe_sharded(
-        &self,
-        backend: Box<dyn Backend>,
-    ) -> Result<Box<dyn Backend>, Box<dyn std::error::Error>> {
-        if !self.sharding_requested() {
-            return Ok(backend);
-        }
-        let spec = ClusterSpec::new(self.tp.unwrap_or(1), self.pp.unwrap_or(1));
-        let fabric = interconnect_from_name(&self.interconnect, self.link_gbps)?;
-        Ok(Box::new(ShardedBackend::new(backend, spec, fabric)?))
-    }
-
-    /// The replay memo a trace-priced run shares: disk-backed when
-    /// `--memo-cache` names a directory, a fresh in-memory one when
-    /// `always_under_trace` (fleet pools replays across replicas even
-    /// without persistence), `None` otherwise — and always `None` under
-    /// analytic pricing, where there is nothing to memoize.
-    fn replay_memo(
-        &self,
-        always_under_trace: bool,
-    ) -> Result<Option<TraceMemo>, Box<dyn std::error::Error>> {
-        if self.cost_model != CostModelKind::TraceDriven {
-            return Ok(None);
-        }
-        match &self.memo_cache {
-            Some(dir) => Ok(Some(TraceMemo::with_cache_dir(dir)?)),
-            None if always_under_trace => Ok(Some(TraceMemo::new())),
-            None => Ok(None),
-        }
-    }
-}
-
-fn parse_model(name: &str) -> Option<LlmConfig> {
-    match name.to_ascii_lowercase().as_str() {
-        "gpt3-7b" | "7b" => Some(LlmConfig::gpt3_7b()),
-        "gpt3-13b" | "13b" => Some(LlmConfig::gpt3_13b()),
-        "gpt3-30b" | "30b" => Some(LlmConfig::gpt3_30b()),
-        "gpt3-175b" | "175b" => Some(LlmConfig::gpt3_175b()),
-        _ => None,
-    }
-}
-
-fn parse_dataset(name: &str) -> Option<Dataset> {
-    match name.to_ascii_lowercase().as_str() {
-        "sharegpt" => Some(Dataset::ShareGpt),
-        "alpaca" => Some(Dataset::Alpaca),
-        _ => None,
-    }
 }
 
 /// Entry point of the `neupims` CLI: parses `std::env::args` and runs the
@@ -263,35 +168,18 @@ pub fn run_cli() -> ExitCode {
     let mut opts = Options {
         samples: 10,
         quick: false,
-        backend: "neupims".to_owned(),
-        model: LlmConfig::gpt3_7b(),
         dataset: Dataset::ShareGpt,
         batch: None,
         requests: 64,
-        max_batch: 64,
-        replicas: 4,
-        policy: "jsq".to_owned(),
-        scheduler: "lump".to_owned(),
-        chunk_tokens: 256,
-        preemption: "drop".to_owned(),
-        swap_gbps: 32.0,
-        cost_model: CostModelKind::Analytic,
-        cost_model_set: false,
-        memo_cache: None,
         tolerance: DEFAULT_DRIFT_TOLERANCE,
         rate: 3.0,
-        slo_ttft_ms: 50.0,
-        slo_tpot_ms: 10.0,
-        seed: None,
-        jobs: None,
         tenants: None,
-        autoscale: None,
-        router: None,
-        min_replicas: None,
-        tp: None,
-        pp: None,
-        interconnect: "pcie".to_owned(),
-        link_gbps: None,
+        system: SystemSpec {
+            max_batch: 64,
+            replicas: 4,
+            ..SystemSpec::default()
+        },
+        run: EvalOverrides::default(),
         suite: None,
         list: false,
         reports_dir: "reports".to_owned(),
@@ -320,29 +208,29 @@ pub fn run_cli() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--max-batch" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.max_batch = n,
+            "--max-batch" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) => opts.system.max_batch = n.max(1),
                 None => {
                     eprintln!("--max-batch requires a number");
                     return ExitCode::FAILURE;
                 }
             },
             "--replicas" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.replicas = n,
+                Some(n) if n > 0 => opts.system.replicas = n,
                 _ => {
                     eprintln!("--replicas requires a positive number");
                     return ExitCode::FAILURE;
                 }
             },
             "--policy" => match it.next() {
-                Some(name) => opts.policy = name.clone(),
+                Some(name) => opts.system.dispatch = name.clone(),
                 None => {
                     eprintln!("--policy requires a name ({})", POLICY_NAMES.join("|"));
                     return ExitCode::FAILURE;
                 }
             },
             "--scheduler" => match it.next() {
-                Some(name) => opts.scheduler = name.clone(),
+                Some(name) => opts.system.scheduler = name.clone(),
                 None => {
                     eprintln!(
                         "--scheduler requires a name ({})",
@@ -352,14 +240,14 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--chunk-tokens" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.chunk_tokens = n,
+                Some(n) if n > 0 => opts.system.chunk_tokens = n,
                 _ => {
                     eprintln!("--chunk-tokens requires a positive number of tokens");
                     return ExitCode::FAILURE;
                 }
             },
             "--preemption" => match it.next() {
-                Some(name) => opts.preemption = name.clone(),
+                Some(name) => opts.system.preemption = name.clone(),
                 None => {
                     eprintln!(
                         "--preemption requires a name ({})",
@@ -369,7 +257,7 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--swap-gbps" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(g) if g > 0.0 => opts.swap_gbps = g,
+                Some(g) if g > 0.0 => opts.system.swap_gbps = g,
                 _ => {
                     eprintln!("--swap-gbps requires a positive bandwidth (GB/s)");
                     return ExitCode::FAILURE;
@@ -377,8 +265,8 @@ pub fn run_cli() -> ExitCode {
             },
             "--cost-model" => match it.next().and_then(|v| CostModelKind::from_name(v)) {
                 Some(kind) => {
-                    opts.cost_model = kind;
-                    opts.cost_model_set = true;
+                    opts.system.cost_model = kind;
+                    opts.run.cost_model = Some(kind);
                 }
                 None => {
                     eprintln!(
@@ -389,7 +277,7 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--memo-cache" => match it.next() {
-                Some(dir) => opts.memo_cache = Some(dir.clone()),
+                Some(dir) => opts.run.memo_cache = Some(dir.into()),
                 None => {
                     eprintln!("--memo-cache requires a directory");
                     return ExitCode::FAILURE;
@@ -410,34 +298,34 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--slo-ttft-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) if ms > 0.0 => opts.slo_ttft_ms = ms,
+                Some(ms) if ms > 0.0 => opts.system.slo_ttft_ms = ms,
                 _ => {
                     eprintln!("--slo-ttft-ms requires a positive number (milliseconds)");
                     return ExitCode::FAILURE;
                 }
             },
             "--slo-tpot-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) if ms > 0.0 => opts.slo_tpot_ms = ms,
+                Some(ms) if ms > 0.0 => opts.system.slo_tpot_ms = ms,
                 _ => {
                     eprintln!("--slo-tpot-ms requires a positive number (milliseconds)");
                     return ExitCode::FAILURE;
                 }
             },
             "--backend" => match it.next() {
-                Some(name) => opts.backend = name.clone(),
+                Some(name) => opts.system.backend = name.clone(),
                 None => {
                     eprintln!("--backend requires a name ({})", BACKEND_NAMES.join("|"));
                     return ExitCode::FAILURE;
                 }
             },
-            "--model" => match it.next().and_then(|v| parse_model(v)) {
-                Some(m) => opts.model = m,
+            "--model" => match it.next().and_then(|v| model_from_name(v).ok()) {
+                Some(m) => opts.system.model = m,
                 None => {
                     eprintln!("--model requires one of: gpt3-7b, gpt3-13b, gpt3-30b, gpt3-175b");
                     return ExitCode::FAILURE;
                 }
             },
-            "--dataset" => match it.next().and_then(|v| parse_dataset(v)) {
+            "--dataset" => match it.next().and_then(|v| dataset_from_name(v).ok()) {
                 Some(d) => opts.dataset = d,
                 None => {
                     eprintln!("--dataset requires one of: sharegpt, alpaca");
@@ -445,14 +333,14 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => opts.seed = Some(s),
+                Some(s) => opts.run.seed = Some(s),
                 None => {
                     eprintln!("--seed requires a number");
                     return ExitCode::FAILURE;
                 }
             },
             "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.jobs = Some(n),
+                Some(n) if n > 0 => opts.run.jobs = Some(n),
                 _ => {
                     eprintln!("--jobs requires a positive number of worker threads");
                     return ExitCode::FAILURE;
@@ -468,7 +356,7 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--autoscale" => match it.next() {
-                Some(name) => opts.autoscale = Some(name.clone()),
+                Some(name) => opts.system.autoscale = Some(name.clone()),
                 None => {
                     eprintln!(
                         "--autoscale requires a name ({})",
@@ -478,35 +366,35 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--router" => match it.next() {
-                Some(name) => opts.router = Some(name.clone()),
+                Some(name) => opts.system.router = Some(name.clone()),
                 None => {
                     eprintln!("--router requires a name ({})", ROUTER_NAMES.join("|"));
                     return ExitCode::FAILURE;
                 }
             },
             "--min-replicas" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.min_replicas = Some(n),
+                Some(n) if n > 0 => opts.system.min_replicas = Some(n),
                 _ => {
                     eprintln!("--min-replicas requires a positive number");
                     return ExitCode::FAILURE;
                 }
             },
             "--tp" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.tp = Some(n),
+                Some(n) if n > 0 => opts.system.tp = Some(n),
                 _ => {
                     eprintln!("--tp requires a positive tensor-parallel degree");
                     return ExitCode::FAILURE;
                 }
             },
             "--pp" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.pp = Some(n),
+                Some(n) if n > 0 => opts.system.pp = Some(n),
                 _ => {
                     eprintln!("--pp requires a positive pipeline-parallel degree");
                     return ExitCode::FAILURE;
                 }
             },
             "--interconnect" => match it.next() {
-                Some(name) => opts.interconnect = name.clone(),
+                Some(name) => opts.system.interconnect = name.clone(),
                 None => {
                     eprintln!(
                         "--interconnect requires a name ({})",
@@ -516,7 +404,7 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--link-gbps" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(g) if g > 0.0 => opts.link_gbps = Some(g),
+                Some(g) if g > 0.0 => opts.system.link_gbps = Some(g),
                 _ => {
                     eprintln!("--link-gbps requires a positive bandwidth (GB/s)");
                     return ExitCode::FAILURE;
@@ -610,88 +498,58 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
 }
 
 fn cmd_sweep(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
+    let system = &opts.system;
     let batches: Vec<usize> = match opts.batch {
         Some(b) => vec![b],
         None if opts.quick => vec![64, 256],
         None => vec![64, 128, 256, 384, 512],
     };
-    if opts.sharding_requested() {
-        // Reject a bad fabric name or bandwidth before any table output.
-        interconnect_from_name(&opts.interconnect, opts.link_gbps)?;
+    // Build every point first, so a bad name or deployment fails before
+    // any table output.
+    let memo = opts.run.memo_for(system.cost_model)?;
+    let mut sims = Vec::new();
+    for &batch in &batches {
+        let builder = system.simulation(ctx, memo.as_ref())?;
+        sims.push(builder.dataset(opts.dataset).batch(batch).build()?);
     }
     println!(
         "\n## Sweep — {} / {} / {} ({} cost model; tokens/s, mean of {} warm batches)\n",
-        opts.backend,
-        opts.model.name,
+        system.backend,
+        system.model.name,
         opts.dataset.name(),
-        opts.cost_model,
+        system.cost_model,
         ctx.samples
     );
-    if opts.sharding_requested() {
+    if let Some(cluster) = system.cluster() {
         println!(
             "sharded over tp{} x pp{} chips on the {} fabric\n",
-            opts.tp.unwrap_or(1),
-            opts.pp.unwrap_or(1),
-            opts.interconnect
+            cluster.tp, cluster.pp, system.interconnect
         );
     }
     println!("| batch | tokens/s |");
     println!("|---:|---:|");
-    for &batch in &batches {
-        let backend = opts.maybe_sharded(ctx.backend_with_cost(&opts.backend, opts.cost_model)?)?;
-        let mut builder = ctx
-            .simulation()
-            .model(opts.model.clone())
-            .backend(backend)
-            .dataset(opts.dataset)
-            .batch(batch);
-        if opts.sharding_requested() {
-            // The wrapper supplies the parallelism: run the full layer
-            // stack with device-internal TP 1 underneath it.
-            builder = builder.tp(1).layers(opts.model.num_layers);
-        }
-        let sim = builder.build()?;
-        println!("| {} | {:.0} |", batch, sim.throughput()?);
+    for sim in &sims {
+        println!("| {} | {:.0} |", sim.batch(), sim.throughput()?);
     }
     Ok(())
 }
 
 fn cmd_serve(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let backend = opts.maybe_sharded(ctx.backend_with_cost(&opts.backend, opts.cost_model)?)?;
-    let mut builder = ctx
-        .simulation()
-        .model(opts.model.clone())
-        .backend(backend)
-        .dataset(opts.dataset)
-        .batch(opts.max_batch.max(1))
-        .scheduler(scheduler_from_name(&opts.scheduler, opts.chunk_tokens)?)
-        .preemption(preemption_from_name(&opts.preemption)?)
-        .swap(SwapConfig {
-            gb_per_sec: opts.swap_gbps,
-        })
-        .cost_model(opts.cost_model);
-    if let Some(memo) = opts.replay_memo(false)? {
-        builder = builder.trace_memo(memo);
-    }
-    if opts.sharding_requested() {
-        // The wrapper supplies the parallelism: run the full layer stack
-        // with device-internal TP 1 underneath it.
-        builder = builder.tp(1).layers(opts.model.num_layers);
-    }
-    let sim = builder.build()?;
+    let system = &opts.system;
+    let memo = opts.run.memo_for(system.cost_model)?;
+    let mut serving = system.replica(ctx, &system.backend, &system.scheduler, memo.as_ref())?;
     println!(
         "\n## Serve — {} requests ({}) through {} serving {} ({} scheduler, {} preemption, {} cost model)\n",
         opts.requests,
         opts.dataset.name(),
-        sim.backend().label(),
-        opts.model.name,
-        sim.scheduler().name(),
-        sim.preemption().name(),
-        opts.cost_model,
+        serving.backend().label(),
+        system.model.name,
+        serving.scheduler_name(),
+        serving.preemption_name(),
+        system.cost_model,
     );
 
-    let mut serving = sim.serving_with_slo(opts.max_batch.max(1), 0, Some(opts.slo()));
-    let mut rng = StdRng::seed_from_u64(opts.seed.unwrap_or(DEFAULT_SERVE_SEED));
+    let mut rng = StdRng::seed_from_u64(opts.run.seed.unwrap_or(DEFAULT_SERVE_SEED));
     let arrivals = arrival_stream(&mut rng, opts.rate, opts.requests);
     for (i, &at) in arrivals.iter().enumerate() {
         let input = opts.dataset.sample_input(&mut rng);
@@ -729,8 +587,8 @@ fn cmd_serve(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     );
     println!(
         "| SLO attainment (TTFT {} ms, TPOT {} ms) | {:.1}% |",
-        opts.slo_ttft_ms,
-        opts.slo_tpot_ms,
+        opts.system.slo_ttft_ms,
+        opts.system.slo_tpot_ms,
         out.slo_attainment() * 100.0
     );
     println!("| goodput | {:.0} tokens/s |", out.goodput());
@@ -747,7 +605,7 @@ fn cmd_serve(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     println!(
         "| mean decode batch | {:.1} of {} |",
         out.mean_decode_batch(),
-        opts.max_batch.max(1)
+        opts.system.max_batch
     );
     println!(
         "| on-device prefill | {:.2} ms |",
@@ -763,30 +621,21 @@ fn cmd_serve(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
 }
 
 fn cmd_fleet(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    if opts.orchestration_requested() {
+    let system = &opts.system;
+    if opts.tenants.is_some() || system.orchestration_requested() {
         return cmd_orchestrate(ctx, opts);
     }
-    let replicas = fleet_replicas(ctx, opts)?;
-    let labels: Vec<String> = replicas
+    // Under trace pricing the whole fleet shares one replay memo (disk-
+    // backed with --memo-cache), so each context bucket simulates once.
+    let memo = opts.run.memo_for(system.cost_model)?;
+    let mut fleet = system.fleet(system.replicas(ctx, memo.as_ref())?, opts.run.jobs)?;
+    let labels: Vec<String> = fleet
+        .replicas()
         .iter()
         .map(|r| format!("{} ({})", r.backend().label(), r.scheduler_name()))
         .collect();
-    let mut fleet = FleetSim::new(replicas, policy_from_name(&opts.policy)?)?
-        .with_preemption(preemption_from_name(&opts.preemption)?)
-        .with_swap(SwapConfig {
-            gb_per_sec: opts.swap_gbps,
-        });
-    // Under trace pricing the whole fleet shares one replay memo (disk-
-    // backed with --memo-cache), so each context bucket simulates once.
-    let memo = opts.replay_memo(true)?;
-    if let Some(memo) = &memo {
-        fleet = fleet.with_shared_trace_memo(memo);
-    }
-    if let Some(jobs) = opts.jobs {
-        fleet = fleet.with_jobs(jobs);
-    }
 
-    let mut rng = StdRng::seed_from_u64(opts.seed.unwrap_or(DEFAULT_FLEET_SEED));
+    let mut rng = StdRng::seed_from_u64(opts.run.seed.unwrap_or(DEFAULT_FLEET_SEED));
     let arrivals = arrival_stream(&mut rng, opts.rate, opts.requests);
     for (i, &at) in arrivals.iter().enumerate() {
         fleet.submit(FleetRequest {
@@ -802,8 +651,8 @@ fn cmd_fleet(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
         opts.requests,
         opts.dataset.name(),
         opts.rate,
-        opts.replicas,
-        opts.model.name,
+        system.replicas,
+        system.model.name,
         fleet.policy_name(),
     );
     if memo.is_some() {
@@ -840,8 +689,8 @@ fn cmd_fleet(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     );
     println!(
         "| SLO attainment (TTFT {} ms, TPOT {} ms) | {:.1}% |",
-        opts.slo_ttft_ms,
-        opts.slo_tpot_ms,
+        opts.system.slo_ttft_ms,
+        opts.system.slo_tpot_ms,
         out.slo_attainment() * 100.0
     );
     println!("| goodput | {:.0} tokens/s |", out.goodput());
@@ -876,52 +725,6 @@ fn cmd_fleet(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
         );
     }
     Ok(())
-}
-
-/// One `fleet` replica: a serving loop over any (possibly sharded) backend.
-type Replica = ServingSim<Box<dyn Backend>>;
-
-/// Builds the `fleet` replicas, shared by the bare and orchestrated
-/// paths. Comma-separated backend and scheduler names are cycled over
-/// the replicas, so `--backend neupims,gpu --scheduler interleaved,lump
-/// --replicas 4` builds a heterogeneous fleet with per-replica
-/// schedulers; every replica is priced by `--cost-model`.
-fn fleet_replicas(
-    ctx: &ExperimentContext,
-    opts: &Options,
-) -> Result<Vec<Replica>, Box<dyn std::error::Error>> {
-    let names: Vec<&str> = opts.backend.split(',').map(str::trim).collect();
-    let sched_names: Vec<&str> = opts.scheduler.split(',').map(str::trim).collect();
-    // With --tp/--pp each replica is its own sharded chip group: the
-    // wrapper supplies the parallelism, so the serving config runs the
-    // full layer stack with device-internal TP 1 underneath it.
-    let cfg = ServingConfig {
-        max_batch: opts.max_batch.max(1),
-        tp: if opts.sharding_requested() {
-            1
-        } else {
-            opts.model.parallelism.tp
-        },
-        layers: if opts.sharding_requested() {
-            opts.model.num_layers
-        } else {
-            opts.model.num_layers / opts.model.parallelism.pp
-        },
-        target_completions: 0,
-        slo: Some(opts.slo()),
-    };
-    (0..opts.replicas)
-        .map(|i| {
-            let backend = opts
-                .maybe_sharded(ctx.backend_with_cost(names[i % names.len()], opts.cost_model)?)?;
-            let scheduler =
-                scheduler_from_name(sched_names[i % sched_names.len()], opts.chunk_tokens)?;
-            Ok(
-                ServingSim::with_scheduler(backend, opts.model.clone(), cfg.clone(), scheduler)
-                    .with_cost_model(opts.cost_model),
-            )
-        })
-        .collect()
 }
 
 /// Parses a `--tenants` spec: `name:weight:priority[:ttft_ms:tpot_ms]`
@@ -976,14 +779,15 @@ fn parse_tenants(
 }
 
 /// The orchestrated fleet path (`fleet` with any of `--tenants`,
-/// `--autoscale`, `--router`, `--min-replicas`): the replicas of
-/// `fleet_replicas`, run through the capability-aware meta-orchestrator
-/// with per-tenant reporting and the goodput-per-cost bottom line.
+/// `--autoscale`, `--router`, `--min-replicas`): the fleet's replicas,
+/// run through the capability-aware meta-orchestrator with per-tenant
+/// reporting and the goodput-per-cost bottom line.
 fn cmd_orchestrate(
     ctx: &ExperimentContext,
     opts: &Options,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let default_slo = opts.slo();
+    let system = &opts.system;
+    let default_slo = system.slo();
     let (tenants, weights) = match &opts.tenants {
         Some(spec) => parse_tenants(spec, default_slo)?,
         None => (
@@ -991,44 +795,13 @@ fn cmd_orchestrate(
             vec![1.0],
         ),
     };
-    let memo = opts.replay_memo(true)?;
-    let mut slots = Vec::new();
-    for replica in fleet_replicas(ctx, opts)? {
-        let mut slot = replica
-            .with_preemption(preemption_from_name(&opts.preemption)?)
-            .with_swap(SwapConfig {
-                gb_per_sec: opts.swap_gbps,
-            });
-        if let Some(memo) = &memo {
-            slot = slot.with_trace_memo(memo);
-        }
-        slots.push(slot);
-    }
-
-    let autoscale_name = opts.autoscale.as_deref().unwrap_or("static");
-    let router_name = opts.router.as_deref().unwrap_or("load");
-    let autoscale = autoscale_from_name(autoscale_name)?;
-    let router = router_from_name(router_name)?;
-    // Static autoscaling holds the whole fleet; the scalers default to a
-    // floor of one and grow on demand.
-    let default_min = if autoscale_name.eq_ignore_ascii_case("static") {
-        opts.replicas
-    } else {
-        1
-    };
-    let mut orch_cfg = OrchestratorConfig::default_for(opts.replicas);
-    orch_cfg.min_replicas = opts
-        .min_replicas
-        .unwrap_or(default_min)
-        .clamp(1, opts.replicas);
-    let mut orch = Orchestrator::new(slots, tenants, router, autoscale, orch_cfg)?;
-    if let Some(jobs) = opts.jobs {
-        orch = orch.with_jobs(jobs);
-    }
+    let memo = opts.run.memo_for(system.cost_model)?;
+    let slots = system.replicas(ctx, memo.as_ref())?;
+    let mut orch = system.orchestrator(slots, tenants, opts.run.jobs)?;
 
     // The same seeded arrival + shape stream as the bare fleet; the
     // tenant of each request is a weighted draw from the same RNG.
-    let mut rng = StdRng::seed_from_u64(opts.seed.unwrap_or(DEFAULT_FLEET_SEED));
+    let mut rng = StdRng::seed_from_u64(opts.run.seed.unwrap_or(DEFAULT_FLEET_SEED));
     let arrivals = arrival_stream(&mut rng, opts.rate, opts.requests);
     let total_weight: f64 = weights.iter().sum();
     for (i, &at) in arrivals.iter().enumerate() {
@@ -1059,7 +832,7 @@ fn cmd_orchestrate(
         opts.requests,
         opts.dataset.name(),
         opts.rate,
-        opts.replicas,
+        system.replicas,
         orch.route_name(),
         orch.autoscale_name(),
         orch.tenants().len(),
@@ -1189,8 +962,9 @@ fn print_trace_rows(trace: Option<&TraceSnapshot>) {
 }
 
 fn cmd_drift(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let tp = opts.model.parallelism.tp;
-    let geo = KvGeometry::with_tp(&opts.model, &ctx.cfg.mem, tp);
+    let model = &opts.system.model;
+    let tp = model.parallelism.tp;
+    let geo = KvGeometry::with_tp(model, &ctx.cfg.mem, tp);
     let analytic = MhaLatencyEstimator::new(geo, ctx.cal.l_tile, ctx.cal.l_gwrite);
     let trace = TraceDrivenCostModel::new(&ctx.cfg, geo, true);
     let seq_lens: Vec<u64> = [
@@ -1201,7 +975,7 @@ fn cmd_drift(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
 
     println!(
         "\n## Calibration drift — Algorithm 1 vs cycle-level trace ({}, TP={}, tolerance {:.0}%)\n",
-        opts.model.name,
+        model.name,
         tp,
         opts.tolerance * 100.0
     );
@@ -1280,13 +1054,7 @@ fn cmd_eval(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
             .sum::<usize>()
             + suite.compares.len()
     );
-    let overrides = neupims_eval::EvalOverrides {
-        seed: opts.seed,
-        jobs: opts.jobs,
-        cost_model: opts.cost_model_set.then_some(opts.cost_model),
-        memo_cache: opts.memo_cache.as_ref().map(std::path::PathBuf::from),
-    };
-    let report = neupims_eval::run_eval(&suite, &overrides)?;
+    let report = neupims_eval::run_eval(&suite, &opts.run)?;
     print!("{}", report.render());
     // The persistent-cache CI smoke job greps these lines: a rerun over
     // a populated --memo-cache must report a 100.0% disk hit rate.

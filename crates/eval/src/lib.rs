@@ -13,6 +13,9 @@
 //!   [`neupims_workload::scenario`], warm-batch throughput through
 //!   [`neupims_core::simulation::Simulation`] (the Figure 12 / Table 3
 //!   methodology);
+//! * [`system`] — the system under test ([`SystemSpec`]) and the one
+//!   place its backends, replicas, fleets, throughput simulations and
+//!   orchestrators are built, shared with the `neupims-sim` CLI;
 //! * [`scorer`] — grades `[[scenario.expect]]` and `[[compare]]` blocks
 //!   into pass/warn/fail [`CheckResult`]s;
 //! * [`report`] — the structured [`EvalReport`] with JSON serialization
@@ -33,6 +36,7 @@ pub mod scorer;
 pub mod spec;
 pub mod store;
 pub mod suites;
+pub mod system;
 pub mod toml;
 
 pub use report::EvalReport;
@@ -40,10 +44,11 @@ pub use runner::{run_scenario, run_suite, EvalError, EvalOverrides, Metrics, Sce
 pub use scorer::{score_suite, verdict, CheckResult, CheckStatus};
 pub use spec::{
     Bound, CompareSpec, Expectation, ScenarioKind, ScenarioSpec, Severity, SpecError, SuiteSpec,
-    SystemSpec, WorkloadSpec,
+    WorkloadSpec,
 };
 pub use store::{resolve_rev, store_report, unix_seconds};
 pub use suites::{builtin_description, builtin_suite, load_suite, SUITE_NAMES};
+pub use system::SystemSpec;
 
 /// Runs a parsed suite end to end under `opts` (seed, serving worker
 /// count, cost-model override, persistent replay cache; the default is

@@ -2,9 +2,11 @@
 //!
 //! Each [`ScenarioSpec`] becomes one [`ScenarioRun`]: a flat
 //! `metric name -> f64` map the scorer grades golden expectations
-//! against. Serving scenarios drive a [`FleetSim`] (a single replica is
-//! just a one-element fleet, so every serving metric comes from the same
-//! code path); throughput scenarios reuse the warm-batch
+//! against. The scenario's [`SystemSpec`] builds what runs. Serving
+//! scenarios drive a [`FleetSim`](neupims_core::fleet::FleetSim) (a
+//! single replica is just a one-element fleet, so every serving metric
+//! comes from the same code path), or the meta-orchestrator above it;
+//! throughput scenarios reuse the warm-batch
 //! [`Simulation::throughput`](neupims_core::simulation::Simulation::throughput)
 //! methodology behind Figure 12 and Table 3.
 
@@ -12,25 +14,18 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 
-use neupims_core::backend::Backend;
 use neupims_core::experiments::ExperimentContext;
-use neupims_core::fleet::{policy_from_name, FleetOutcome, FleetRequest, FleetSim};
-use neupims_core::interconnect::interconnect_from_name;
-use neupims_core::orchestrator::{
-    autoscale_from_name, router_from_name, OrchRequest, Orchestrator, OrchestratorConfig,
-    OrchestratorOutcome, TenantClass,
-};
-use neupims_core::preempt::{preemption_from_name, SwapConfig};
-use neupims_core::scheduler::scheduler_from_name;
-use neupims_core::serving::{ServingConfig, ServingSim, SloTargets};
-use neupims_core::sharding::{ClusterSpec, ShardedBackend};
+use neupims_core::fleet::{FleetOutcome, FleetRequest};
+use neupims_core::orchestrator::{OrchRequest, OrchestratorOutcome, TenantClass};
+use neupims_core::serving::SloTargets;
 use neupims_pim::calibrate;
 use neupims_sched::{CostModelKind, TraceMemo};
 use neupims_types::NeuPimsConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::spec::{ScenarioKind, ScenarioSpec, SpecError, SuiteSpec, SystemSpec};
+use crate::spec::{ScenarioKind, ScenarioSpec, SpecError, SuiteSpec, WorkloadSpec};
+use crate::system::SystemSpec;
 
 /// Any failure while executing a suite.
 #[derive(Debug)]
@@ -96,16 +91,16 @@ pub struct EvalOverrides {
 }
 
 impl EvalOverrides {
-    /// The cost model a scenario actually runs with: the override when
-    /// set, else the spec's own.
-    fn cost_model_for(&self, system: &SystemSpec) -> CostModelKind {
-        self.cost_model.unwrap_or(system.cost_model)
-    }
-
-    /// A shared replay memo for one trace-priced scenario: disk-backed
-    /// when `memo_cache` names a directory, in-memory otherwise. `None`
-    /// under analytic pricing (nothing to memoize).
-    fn memo_for(&self, kind: CostModelKind) -> Result<Option<TraceMemo>, EvalError> {
+    /// The replay memo one trace-priced run shares across its backends
+    /// and replicas: disk-backed when `memo_cache` names a directory,
+    /// in-memory otherwise. `None` under analytic pricing (nothing to
+    /// memoize).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvalError::Sim`] when the cache directory cannot be
+    /// created.
+    pub fn memo_for(&self, kind: CostModelKind) -> Result<Option<TraceMemo>, EvalError> {
         if kind != CostModelKind::TraceDriven {
             return Ok(None);
         }
@@ -140,8 +135,9 @@ impl ScenarioRun {
 /// `opts.seed` (the CLI's `--seed`) replaces each scenario's spec'd
 /// workload/sampling seed, keeping everything else fixed — two runs with
 /// the same override are bit-identical. `opts.jobs` bounds how many
-/// replica streams each serving scenario's [`FleetSim`] advances
-/// concurrently between dispatch points; `None` keeps the fleet's
+/// replica streams each serving scenario's
+/// [`FleetSim`](neupims_core::fleet::FleetSim) advances concurrently
+/// between dispatch points; `None` keeps the fleet's
 /// default ([`std::thread::available_parallelism`]). Results are
 /// bit-identical for every worker count — replicas share no state
 /// between dispatch barriers — so `--seed` + `--jobs` determinism holds
@@ -168,12 +164,19 @@ pub fn run_suite(suite: &SuiteSpec, opts: &EvalOverrides) -> Result<Vec<Scenario
 pub fn run_scenario(spec: &ScenarioSpec, opts: &EvalOverrides) -> Result<ScenarioRun, EvalError> {
     let ctx = context_for(&spec.system)?;
     let seed = opts.seed.unwrap_or(spec.seed);
-    let cost_model = opts.cost_model_for(&spec.system);
-    let memo = opts.memo_for(cost_model)?;
+    let system = SystemSpec {
+        cost_model: opts.cost_model.unwrap_or(spec.system.cost_model),
+        ..spec.system.clone()
+    };
+    let memo = opts.memo_for(system.cost_model)?;
     let metrics = match spec.kind {
-        ScenarioKind::Throughput => run_throughput(&ctx, spec, seed, cost_model, memo.as_ref())?,
+        ScenarioKind::Throughput => run_throughput(&ctx, &system, spec, seed, memo.as_ref())?,
         ScenarioKind::Serving => {
-            run_serving(&ctx, spec, seed, opts.jobs, cost_model, memo.as_ref())?
+            let workload = spec
+                .workload
+                .as_ref()
+                .expect("serving scenarios carry a workload");
+            run_serving(&ctx, &system, workload, seed, opts.jobs, memo.as_ref())?
         }
     };
     Ok(ScenarioRun {
@@ -206,172 +209,72 @@ fn context_for(system: &SystemSpec) -> Result<ExperimentContext, EvalError> {
     })
 }
 
-/// Wraps `backend` in a [`ShardedBackend`] when the scenario's `tp`/`pp`
-/// keys ask for a multi-chip deployment; otherwise returns it unchanged.
-fn maybe_sharded(
-    system: &SystemSpec,
-    backend: Box<dyn Backend>,
-) -> Result<Box<dyn Backend>, EvalError> {
-    if !system.sharding_requested() {
-        return Ok(backend);
-    }
-    let spec = ClusterSpec::new(system.tp.unwrap_or(1), system.pp.unwrap_or(1));
-    let fabric = interconnect_from_name(
-        system.interconnect.as_deref().unwrap_or("pcie"),
-        system.link_gbps,
-    )
-    .map_err(sim_err)?;
-    Ok(Box::new(
-        ShardedBackend::new(backend, spec, fabric).map_err(sim_err)?,
-    ))
-}
-
 fn run_throughput(
     ctx: &ExperimentContext,
+    system: &SystemSpec,
     spec: &ScenarioSpec,
     seed: u64,
-    cost_model: CostModelKind,
     memo: Option<&TraceMemo>,
 ) -> Result<Metrics, EvalError> {
-    let system = &spec.system;
-    let backend = maybe_sharded(
-        system,
-        ctx.backend_with_cost(&system.backend, cost_model)
-            .map_err(sim_err)?,
-    )?;
-    let mut builder = ctx
-        .simulation()
-        .model(system.model.clone())
-        .backend(backend)
+    let sim = system
+        .simulation(ctx, memo)
+        .map_err(sim_err)?
         .dataset(spec.dataset)
         .batch(spec.batch)
         .seed(seed)
-        .samples(spec.samples);
-    if let Some(memo) = memo {
-        builder = builder.trace_memo(memo.clone());
-    }
-    if system.sharding_requested() {
-        // The sharding wrapper supplies the parallelism: run the full
-        // layer stack with device-internal TP 1 underneath it.
-        builder = builder.tp(1).layers(system.model.num_layers);
-    }
-    let sim = builder.build().map_err(sim_err)?;
-    let tokens_per_sec = sim.throughput().map_err(sim_err)?;
+        .samples(spec.samples)
+        .build()
+        .map_err(sim_err)?;
     let mut metrics = Metrics::new();
-    metrics.insert("tokens_per_sec".into(), tokens_per_sec);
+    metrics.insert("tokens_per_sec".into(), sim.throughput().map_err(sim_err)?);
     metrics.insert("batch".into(), spec.batch as f64);
-    if system.sharding_requested() {
-        let devices = system.tp.unwrap_or(1) as u64 * system.pp.unwrap_or(1) as u64;
+    if let Some(cluster) = system.cluster() {
+        let devices = u64::from(cluster.tp) * u64::from(cluster.pp);
         metrics.insert("devices".into(), devices as f64);
     }
     Ok(metrics)
 }
 
+/// Serves the scenario's seeded, output-capped, tenant-tagged requests
+/// on the system's replicas: through a plain fleet, or through the
+/// meta-orchestrator (tenant SLO classes, admission control, autoscaling,
+/// capability routing) when the system asks for one.
 fn run_serving(
     ctx: &ExperimentContext,
-    spec: &ScenarioSpec,
+    system: &SystemSpec,
+    workload: &WorkloadSpec,
     seed: u64,
     jobs: Option<usize>,
-    cost_model: CostModelKind,
     memo: Option<&TraceMemo>,
 ) -> Result<Metrics, EvalError> {
-    let system = &spec.system;
+    let replicas = system.replicas(ctx, memo).map_err(sim_err)?;
+    let requests = requests_for(workload, seed);
     if system.orchestration_requested() {
-        return run_orchestrated(ctx, spec, seed, jobs, cost_model, memo);
+        let tenants = tenant_classes(system, workload);
+        let mut orch = system
+            .orchestrator(replicas, tenants, jobs)
+            .map_err(sim_err)?;
+        for r in requests {
+            orch.submit(r).map_err(sim_err)?;
+        }
+        return Ok(orchestrated_metrics(&orch.run().map_err(sim_err)?));
     }
 
-    let (replicas, requests) = serving_setup(ctx, spec, seed, cost_model, memo)?;
-    let mut fleet = FleetSim::new(
-        replicas,
-        policy_from_name(&system.dispatch).map_err(sim_err)?,
-    )
-    .map_err(sim_err)?;
-    if let Some(jobs) = jobs {
-        fleet = fleet.with_jobs(jobs);
-    }
+    let mut fleet = system.fleet(replicas, jobs).map_err(sim_err)?;
     for r in requests {
         fleet.submit(r.req).map_err(sim_err)?;
     }
-
     // Replay every reachable cold bucket in parallel before serving
     // starts (a no-op on warm or disk-restored memos; never changes
     // results — pinned by the trace parity tests).
     if memo.is_some() {
         fleet.warm_replay();
     }
-    let out = fleet.run().map_err(sim_err)?;
-    Ok(serving_metrics(&out))
+    Ok(serving_metrics(&fleet.run().map_err(sim_err)?))
 }
 
-/// A serving scenario's replicas and its tenant-tagged requests.
-type ServingSetup = (Vec<ServingSim<Box<dyn Backend>>>, Vec<OrchRequest>);
-
-/// Builds what both serving paths share: one fully configured replica
-/// per slot and the scenario's seeded, output-capped, tenant-tagged
-/// requests. Comma-separated backend/scheduler lists cycle over the
-/// replicas, mirroring the `fleet` CLI command.
-fn serving_setup(
-    ctx: &ExperimentContext,
-    spec: &ScenarioSpec,
-    seed: u64,
-    cost_model: CostModelKind,
-    memo: Option<&TraceMemo>,
-) -> Result<ServingSetup, EvalError> {
-    let system = &spec.system;
-    let workload = spec
-        .workload
-        .as_ref()
-        .expect("serving scenarios carry a workload");
-
-    let slo = SloTargets {
-        ttft: (system.slo_ttft_ms * 1e6) as u64,
-        tpot: system.slo_tpot_ms * 1e6,
-    };
-    // With `tp`/`pp` each replica is its own sharded chip group: the
-    // wrapper supplies the parallelism, so the serving config runs the
-    // full layer stack with device-internal TP 1 underneath it.
-    let cfg = ServingConfig {
-        max_batch: system.max_batch,
-        tp: if system.sharding_requested() {
-            1
-        } else {
-            system.model.parallelism.tp
-        },
-        layers: if system.sharding_requested() {
-            system.model.num_layers
-        } else {
-            system.model.num_layers / system.model.parallelism.pp
-        },
-        target_completions: 0,
-        slo: Some(slo),
-    };
-
-    let preemption = preemption_from_name(&system.preemption).map_err(sim_err)?;
-    let backend_names: Vec<&str> = system.backend.split(',').map(str::trim).collect();
-    let sched_names: Vec<&str> = system.scheduler.split(',').map(str::trim).collect();
-    let mut replicas = Vec::new();
-    for i in 0..system.replicas {
-        let backend = maybe_sharded(
-            system,
-            ctx.backend_with_cost(backend_names[i % backend_names.len()], cost_model)
-                .map_err(sim_err)?,
-        )?;
-        let scheduler =
-            scheduler_from_name(sched_names[i % sched_names.len()], system.chunk_tokens)
-                .map_err(sim_err)?;
-        let mut replica =
-            ServingSim::with_scheduler(backend, system.model.clone(), cfg.clone(), scheduler)
-                .with_cost_model(cost_model)
-                .with_preemption(preemption.clone())
-                .with_swap(SwapConfig {
-                    gb_per_sec: system.swap_gbps,
-                });
-        if let Some(memo) = memo {
-            replica = replica.with_trace_memo(memo);
-        }
-        replicas.push(replica);
-    }
-
+/// The workload's seeded requests, output-capped and tenant-tagged.
+fn requests_for(workload: &WorkloadSpec, seed: u64) -> Vec<OrchRequest> {
     let mut rng = StdRng::seed_from_u64(seed);
     let generated = neupims_workload::ScenarioWorkload {
         arrival: workload.arrival,
@@ -379,7 +282,7 @@ fn serving_setup(
         requests: workload.requests,
     }
     .generate(&mut rng);
-    let requests = generated
+    generated
         .iter()
         .enumerate()
         .map(|(i, req)| OrchRequest {
@@ -394,33 +297,15 @@ fn serving_setup(
             },
             tenant: req.tenant,
         })
-        .collect();
-    Ok((replicas, requests))
+        .collect()
 }
 
-/// Executes a serving scenario through the meta-orchestrator: tenant SLO
-/// classes, admission control, autoscaling, and capability routing above
-/// the same replica construction as the plain fleet path.
-fn run_orchestrated(
-    ctx: &ExperimentContext,
-    spec: &ScenarioSpec,
-    seed: u64,
-    jobs: Option<usize>,
-    cost_model: CostModelKind,
-    memo: Option<&TraceMemo>,
-) -> Result<Metrics, EvalError> {
-    let system = &spec.system;
-    let workload = spec
-        .workload
-        .as_ref()
-        .expect("serving scenarios carry a workload");
-    let (slots, requests) = serving_setup(ctx, spec, seed, cost_model, memo)?;
-
-    // One orchestrator tenant per workload tenant class, its SLO falling
-    // back to the scenario-level targets when the class has no override.
+/// One orchestrator tenant per workload tenant class, its SLO falling
+/// back to the system's targets when the class has no override.
+fn tenant_classes(system: &SystemSpec, workload: &WorkloadSpec) -> Vec<TenantClass> {
     let classes = workload.tenants.classes();
     let total_weight: f64 = classes.iter().map(|c| c.weight).sum();
-    let tenants: Vec<TenantClass> = classes
+    classes
         .iter()
         .zip(&workload.tenant_policies)
         .map(|(class, policy)| {
@@ -435,40 +320,7 @@ fn run_orchestrated(
                 class.weight / total_weight,
             )
         })
-        .collect();
-
-    let autoscale_name = system.autoscale.as_deref().unwrap_or("static");
-    let router_name = system.router.as_deref().unwrap_or("load");
-    // Static scale holds the whole table on (the degenerate fleet-parity
-    // configuration); dynamic policies may park down to one slot.
-    let default_min = if autoscale_name == "static" {
-        system.replicas
-    } else {
-        1
-    };
-    let mut orch_cfg = OrchestratorConfig::default_for(system.replicas);
-    orch_cfg.min_replicas = system
-        .min_replicas
-        .unwrap_or(default_min)
-        .clamp(1, system.replicas);
-    let mut orch = Orchestrator::new(
-        slots,
-        tenants,
-        router_from_name(router_name).map_err(sim_err)?,
-        autoscale_from_name(autoscale_name).map_err(sim_err)?,
-        orch_cfg,
-    )
-    .map_err(sim_err)?;
-    if let Some(jobs) = jobs {
-        orch = orch.with_jobs(jobs);
-    }
-
-    for r in requests {
-        orch.submit(r).map_err(sim_err)?;
-    }
-
-    let out = orch.run().map_err(sim_err)?;
-    Ok(orchestrated_metrics(&out))
+        .collect()
 }
 
 /// Flattens an orchestrated outcome: every fleet metric, plus the
@@ -728,6 +580,29 @@ output = ["fixed", 8]
         let serial = run_suite(&suite, &overrides(Some(8), Some(1))).unwrap();
         let parallel = run_suite(&suite, &overrides(Some(8), Some(4))).unwrap();
         assert_eq!(serial, parallel, "--jobs changed orchestrated results");
+    }
+
+    /// Policy names are case-insensitive, the static autoscale floor
+    /// included: `autoscale = "Static"` holds every slot on from the
+    /// start, exactly like `"static"`.
+    #[test]
+    fn static_autoscale_name_is_case_insensitive() {
+        let run = |name: &str| {
+            let text = format!(
+                "[suite]\nname = \"static\"\n\n[[scenario]]\nname = \"s\"\n\
+                 requests = 8\nreplicas = 4\nmax-batch = 8\noutput-cap = 8\n\
+                 autoscale = \"{name}\"\n"
+            );
+            let suite = SuiteSpec::parse(&text).unwrap();
+            run_suite(&suite, &EvalOverrides::default())
+                .unwrap()
+                .remove(0)
+        };
+        let upper = run("Static");
+        assert_eq!(upper.metric("warmups"), Some(0.0));
+        assert_eq!(upper.metric("scale_ups"), Some(0.0));
+        assert_eq!(upper.metric("peak_replicas"), Some(4.0));
+        assert_eq!(upper, run("static"));
     }
 
     #[test]

@@ -31,6 +31,7 @@ use neupims_types::{Cycle, LlmConfig};
 use neupims_workload::scenario::{ArrivalProcess, LengthDistribution, TenantClass, TenantMix};
 use neupims_workload::Dataset;
 
+use crate::system::SystemSpec;
 use crate::toml::{parse as parse_toml, Table, Value};
 
 /// A spec-level failure: schema violations, unknown names, bad bounds.
@@ -158,71 +159,6 @@ impl ScenarioKind {
             ScenarioKind::Serving => "serving",
             ScenarioKind::Throughput => "throughput",
         }
-    }
-}
-
-/// The system-under-test half of a scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SystemSpec {
-    /// Backend name(s); comma-separated lists cycle over fleet replicas.
-    pub backend: String,
-    /// Scheduler name(s); comma-separated lists cycle over replicas.
-    pub scheduler: String,
-    /// Per-iteration prefill token budget of chunked schedulers.
-    pub chunk_tokens: u32,
-    /// Preemption policy name.
-    pub preemption: String,
-    /// MHA cost model.
-    pub cost_model: CostModelKind,
-    /// Serving replicas (1 = single `ServingSim`; >1 = `FleetSim`).
-    pub replicas: usize,
-    /// Fleet dispatch policy name.
-    pub dispatch: String,
-    /// Max decode batch per replica.
-    pub max_batch: usize,
-    /// Model under test.
-    pub model: LlmConfig,
-    /// Swap-link bandwidth (GB/s) for the swap preemption policy.
-    pub swap_gbps: f64,
-    /// SLO TTFT target, milliseconds.
-    pub slo_ttft_ms: f64,
-    /// SLO TPOT target, milliseconds.
-    pub slo_tpot_ms: f64,
-    /// Memory-channel count override (tight-KV pressure scenarios).
-    pub channels: Option<u32>,
-    /// Per-channel KV capacity override, MiB.
-    pub kv_mib_per_channel: Option<u64>,
-    /// Multi-chip tensor-parallel degree: wraps the backend in a
-    /// sharded deployment when set (alone or with `pp`).
-    pub tp: Option<u32>,
-    /// Multi-chip pipeline-parallel degree.
-    pub pp: Option<u32>,
-    /// Interconnect fabric pricing the sharded collectives
-    /// (`pcie` | `unified` | `noc` | `ideal`; default `pcie`).
-    pub interconnect: Option<String>,
-    /// Per-link bandwidth override for the fabric, GB/s.
-    pub link_gbps: Option<f64>,
-    /// Autoscale policy name (`static` | `reactive` | `predictive`):
-    /// routes the scenario through the meta-orchestrator instead of a
-    /// bare fleet when set (alone or with `router`/`min-replicas`).
-    pub autoscale: Option<String>,
-    /// Route policy name (`load` | `round-robin` | `capability`).
-    pub router: Option<String>,
-    /// Autoscale floor: slots kept committed even when idle. Defaults to
-    /// `replicas` under static scale and 1 otherwise.
-    pub min_replicas: Option<usize>,
-}
-
-impl SystemSpec {
-    /// True when `tp`/`pp` ask for a multi-chip sharded deployment.
-    pub fn sharding_requested(&self) -> bool {
-        self.tp.is_some() || self.pp.is_some()
-    }
-
-    /// True when `autoscale`/`router`/`min-replicas` ask for the
-    /// meta-orchestrator above the fleet.
-    pub fn orchestration_requested(&self) -> bool {
-        self.autoscale.is_some() || self.router.is_some() || self.min_replicas.is_some()
     }
 }
 
@@ -554,33 +490,38 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
         Some(d) => dataset_from_name(&d)?,
         None => Dataset::ShareGpt,
     };
+    let d = SystemSpec::default();
     let model = match opt_string(t, "model")? {
         Some(m) => model_from_name(&m)?,
-        None => LlmConfig::gpt3_7b(),
+        None => d.model,
     };
     let cost_model = match opt_string(t, "cost-model")? {
         Some(c) => CostModelKind::from_name(&c)
             .ok_or_else(|| SpecError(format!("unknown cost model {c:?}")))?,
-        None => CostModelKind::Analytic,
+        None => d.cost_model,
     };
+    let swap_gbps = opt_f64(t, "swap-gbps")?.unwrap_or(d.swap_gbps);
+    if swap_gbps <= 0.0 {
+        return serr(format!("\"swap-gbps\" must be positive, got {swap_gbps}"));
+    }
     let system = SystemSpec {
-        backend: opt_string(t, "backend")?.unwrap_or_else(|| "neupims".into()),
-        scheduler: opt_string(t, "scheduler")?.unwrap_or_else(|| "lump".into()),
-        chunk_tokens: opt_u32(t, "chunk-tokens")?.unwrap_or(256),
-        preemption: opt_string(t, "preemption")?.unwrap_or_else(|| "drop".into()),
+        backend: opt_string(t, "backend")?.unwrap_or(d.backend),
+        scheduler: opt_string(t, "scheduler")?.unwrap_or(d.scheduler),
+        chunk_tokens: opt_u32(t, "chunk-tokens")?.unwrap_or(d.chunk_tokens),
+        preemption: opt_string(t, "preemption")?.unwrap_or(d.preemption),
         cost_model,
-        replicas: opt_usize(t, "replicas")?.unwrap_or(1).max(1),
-        dispatch: opt_string(t, "dispatch")?.unwrap_or_else(|| "jsq".into()),
-        max_batch: opt_usize(t, "max-batch")?.unwrap_or(32).max(1),
+        replicas: opt_usize(t, "replicas")?.unwrap_or(d.replicas).max(1),
+        dispatch: opt_string(t, "dispatch")?.unwrap_or(d.dispatch),
+        max_batch: opt_usize(t, "max-batch")?.unwrap_or(d.max_batch).max(1),
         model,
-        swap_gbps: opt_f64(t, "swap-gbps")?.unwrap_or(32.0),
-        slo_ttft_ms: opt_f64(t, "slo-ttft-ms")?.unwrap_or(50.0),
-        slo_tpot_ms: opt_f64(t, "slo-tpot-ms")?.unwrap_or(10.0),
+        swap_gbps,
+        slo_ttft_ms: opt_f64(t, "slo-ttft-ms")?.unwrap_or(d.slo_ttft_ms),
+        slo_tpot_ms: opt_f64(t, "slo-tpot-ms")?.unwrap_or(d.slo_tpot_ms),
         channels: opt_u32(t, "channels")?,
         kv_mib_per_channel: opt_usize(t, "kv-mib-per-channel")?.map(|m| m as u64),
         tp: opt_u32(t, "tp")?,
         pp: opt_u32(t, "pp")?,
-        interconnect: opt_string(t, "interconnect")?,
+        interconnect: opt_string(t, "interconnect")?.unwrap_or(d.interconnect),
         link_gbps: opt_f64(t, "link-gbps")?,
         autoscale: opt_name(t, "autoscale", &AUTOSCALE_NAMES, |n| {
             autoscale_from_name(n).is_ok()
@@ -615,11 +556,22 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
     })
 }
 
+/// The `rate` key of a scenario or of its `[scenario.arrival]` table, in
+/// requests per Mcycle (default 3.0); every arrival process needs it
+/// positive.
+fn arrival_rate(t: &Table) -> Result<f64, SpecError> {
+    let rate = opt_f64(t, "rate")?.unwrap_or(3.0);
+    if rate <= 0.0 {
+        return serr("arrival rate must be positive");
+    }
+    Ok(rate)
+}
+
 fn parse_workload(t: &Table, dataset: Dataset, seed: u64) -> Result<WorkloadSpec, SpecError> {
     let requests = opt_usize(t, "requests")?.unwrap_or(32).max(1);
     let arrival = match t.get("arrival") {
         None => ArrivalProcess::Poisson {
-            rate: opt_f64(t, "rate")?.unwrap_or(3.0),
+            rate: arrival_rate(t)?,
         },
         Some(Value::Table(a)) => parse_arrival(a)?,
         Some(v) => {
@@ -666,10 +618,7 @@ fn parse_arrival(a: &Table) -> Result<ArrivalProcess, SpecError> {
             "alpha",
         ],
     )?;
-    let rate = opt_f64(a, "rate")?.unwrap_or(3.0);
-    if rate <= 0.0 {
-        return serr("arrival rate must be positive");
-    }
+    let rate = arrival_rate(a)?;
     match opt_string(a, "process")?.as_deref().unwrap_or("poisson") {
         "poisson" => Ok(ArrivalProcess::Poisson { rate }),
         "bursty" => Ok(ArrivalProcess::Bursty {

@@ -175,8 +175,9 @@ severity = "warn"
     assert_eq!((pass, warn, fail), (0, 1, 1));
 }
 
-/// A typo'd key in an on-disk suite is a spec error naming the key, its
-/// table and the file — not a run with the misspelled setting defaulted.
+/// A typo'd key or an out-of-range value in an on-disk suite is a spec
+/// error naming the key, its table and the file — not a run with the
+/// misspelled setting defaulted, or a panic mid-run.
 #[test]
 fn unknown_suite_keys_fail_to_load() {
     let dir = std::env::temp_dir().join(format!("neupims-eval-keys-{}", std::process::id()));
@@ -193,7 +194,29 @@ fn unknown_suite_keys_fail_to_load() {
             format!("[system]\nbackend = \"gpu\"\n\n{shipped}"),
             "unknown key \"system\" in the top level",
         ),
+        (
+            "swap.toml",
+            shipped.replacen("swap-gbps = 32.0", "swap-gbps = 0.0", 1),
+            "\"swap-gbps\" must be positive",
+        ),
+        // A non-positive rate is the same error whether the scenario
+        // sets it directly or in its arrival table.
+        (
+            "rate.toml",
+            shipped.replacen(
+                "[scenario.arrival]\nprocess = \"bursty\"\nrate = 4.0\nburst-size = 8\n",
+                "rate = 0.0\n",
+                1,
+            ),
+            "arrival rate must be positive",
+        ),
+        (
+            "arrival.toml",
+            shipped.replacen("rate = 4.0", "rate = -1.0", 1),
+            "arrival rate must be positive",
+        ),
     ] {
+        assert_ne!(text, shipped, "{name}: edit not in the shipped suite");
         let path = dir.join(name);
         std::fs::write(&path, text).unwrap();
         let e = load_suite(path.to_str().unwrap()).unwrap_err();
